@@ -4,6 +4,11 @@ use bikecap_tensor::conv::{
     conv3d, conv3d_backward_input, conv3d_backward_weight, conv_transpose3d,
     conv_transpose3d_backward_weight, Conv3dSpec,
 };
+use bikecap_tensor::exec::{
+    plan_routing_agree, plan_routing_couple, routing_agree_into, routing_capsule_dot_into,
+    routing_couple_into, routing_slot_sum_into, routing_spread_into, routing_squash_grad_into,
+    RoutingPlan,
+};
 use bikecap_tensor::Tensor;
 
 use std::sync::Arc;
@@ -113,6 +118,10 @@ pub enum TraceOp {
     Conv3d(Conv3dSpec),
     /// Transposed 3-D convolution with the given stride/padding.
     ConvTranspose3d(Conv3dSpec),
+    /// Fused routing coupling step `squash_n(Σ_s V·K)` ([`Tape::routing_couple`]).
+    RoutingCouple,
+    /// Fused routing agreement step `L + Σ_c V·Ŝ` ([`Tape::routing_agree`]).
+    RoutingAgree,
 }
 
 /// Backward closure: given the output gradient, the parent values, the node's
@@ -852,6 +861,112 @@ impl Tape {
     }
 
     // ------------------------------------------------------------------
+    // Fused dynamic routing
+    // ------------------------------------------------------------------
+
+    /// The routing coupling step (paper Sec. III-D): future capsules
+    /// `Ŝ = squash_n(Σ_s V·K)` of shape `(B, p, n, H, W)` from the per-slot
+    /// predictions `v` in the transform conv's layout `(B, p·n, S, H, W)`
+    /// and the coupling coefficients `k (B, S, H, W, p)`.
+    ///
+    /// One op with an analytic adjoint: the backward recomputes the
+    /// pre-squash sum, applies the squash Jacobian, and scatters it to
+    /// `dV = dS ⊗ K` and `dK = Σ_c V·dS`. The forward runs
+    /// [`routing_couple_into`], the body the compiled executor shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand shapes do not form a routing step.
+    pub fn routing_couple(&mut self, v: Var, k: Var) -> Var {
+        let (vt, kt) = (&self.nodes[v.0].value, &self.nodes[k.0].value);
+        let plan = plan_routing_couple(vt.shape(), kt.shape()).unwrap_or_else(|| {
+            panic!("routing_couple: V {:?} with K {:?}", vt.shape(), kt.shape())
+        });
+        let mut out = Tensor::zeros(&plan.capsules_shape());
+        routing_couple_into(&plan, vt.as_slice(), kt.as_slice(), out.as_mut_slice());
+        out.debug_assert_finite("routing_couple");
+        self.push(
+            out,
+            vec![v.0, k.0],
+            Some(Box::new(move |g, p, _, needs| {
+                let mut ds = Tensor::zeros(&plan.capsules_shape());
+                routing_squash_grad_into(
+                    &plan,
+                    p[0].as_slice(),
+                    p[1].as_slice(),
+                    g.as_slice(),
+                    ds.as_mut_slice(),
+                );
+                vec![
+                    needs[0].then(|| routing_spread(&plan, &ds, p[1])),
+                    needs[1].then(|| {
+                        let mut dk = Tensor::zeros(&plan.logits_shape());
+                        routing_capsule_dot_into(
+                            &plan,
+                            p[0].as_slice(),
+                            ds.as_slice(),
+                            dk.as_mut_slice(),
+                        );
+                        dk
+                    }),
+                ]
+            })),
+            None,
+            || TraceOp::RoutingCouple,
+        )
+    }
+
+    /// The routing agreement step (paper Sec. III-D): refined logits
+    /// `L' = L + Σ_c V·Ŝ` of shape `(B, S, H, W, p)` from the predictions
+    /// `v (B, p·n, S, H, W)`, the current capsules `s_hat (B, p, n, H, W)`
+    /// and the logits `logits (B, S, H, W, p)`.
+    ///
+    /// One op with an analytic adjoint: `dL = dL'`, `dV = Ŝ ⊗ dL'` and
+    /// `dŜ = Σ_s V·dL'`. The forward runs [`routing_agree_into`], the body
+    /// the compiled executor shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand shapes do not form a routing step.
+    pub fn routing_agree(&mut self, v: Var, s_hat: Var, logits: Var) -> Var {
+        let vt = &self.nodes[v.0].value;
+        let (st, lt) = (&self.nodes[s_hat.0].value, &self.nodes[logits.0].value);
+        let plan = plan_routing_agree(vt.shape(), st.shape(), lt.shape()).unwrap_or_else(|| {
+            panic!(
+                "routing_agree: V {:?}, S {:?}, logits {:?}",
+                vt.shape(),
+                st.shape(),
+                lt.shape()
+            )
+        });
+        let mut out = Tensor::zeros(&plan.logits_shape());
+        routing_agree_into(
+            &plan,
+            vt.as_slice(),
+            st.as_slice(),
+            lt.as_slice(),
+            out.as_mut_slice(),
+        );
+        self.push(
+            out,
+            vec![v.0, s_hat.0, logits.0],
+            Some(Box::new(move |g, p, _, needs| {
+                vec![
+                    needs[0].then(|| routing_spread(&plan, p[1], g)),
+                    needs[1].then(|| {
+                        let mut ds = Tensor::zeros(&plan.capsules_shape());
+                        routing_slot_sum_into(&plan, p[0].as_slice(), g.as_slice(), ds.as_mut_slice());
+                        ds
+                    }),
+                    needs[2].then(|| g.clone()),
+                ]
+            })),
+            None,
+            || TraceOp::RoutingAgree,
+        )
+    }
+
+    // ------------------------------------------------------------------
     // Composite helpers
     // ------------------------------------------------------------------
 
@@ -894,6 +1009,13 @@ impl Tape {
         let sq = self.square(diff);
         self.mean(sq)
     }
+}
+
+/// `V`-layout outer product `U ⊗ W` (see [`routing_spread_into`]).
+fn routing_spread(plan: &RoutingPlan, u: &Tensor, w: &Tensor) -> Tensor {
+    let mut dv = Tensor::zeros(&plan.v_shape());
+    routing_spread_into(plan, u.as_slice(), w.as_slice(), dv.as_mut_slice());
+    dv
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Parallel-kernel microbenchmarks: times the `bikecap-rt`-backed hot paths
-//! (matmul, conv3d, conv_transpose3d, full `BikeCap::predict` — eager *and*
-//! compiled-executor) across thread counts and writes a machine-readable
+//! (matmul, conv3d, conv_transpose3d, the fused routing couple/agree steps,
+//! full `BikeCap::predict` — eager *and* compiled-executor) across thread counts and writes a machine-readable
 //! `BENCH_parallel.json` at the workspace root (op name, shape, threads,
 //! ns/iter, speedup vs 1 thread, heap allocations per iteration).
 //!
@@ -45,6 +45,9 @@ use bikecap_core::{BikeCap, BikeCapConfig, ExecMode, VerifyMode};
 use bikecap_quant::{conv3d_q8, matmul_q8_into, Q8Tensor};
 use bikecap_rt as rt;
 use bikecap_tensor::conv::{conv3d, conv_transpose3d, Conv3dSpec};
+use bikecap_tensor::exec::{
+    plan_routing_agree, plan_routing_couple, routing_agree_into, routing_couple_into,
+};
 use bikecap_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -263,6 +266,33 @@ fn main() {
     bench_op(&mut records, "conv3d_q8", "16x4x8x8x8 k3x3x3".into(), 20 * scale, samples, || {
         let (data, shape) = conv3d_q8(x.as_slice(), x.shape(), &wq, Conv3dSpec::padded(1, 1, 1));
         Tensor::from_vec(data, &shape)
+    });
+
+    // One dynamic-routing iteration's fused kernels at the train workload's
+    // routing shape (B=16, S=8, p=4, n=4, 8x8 grid): V in the transform
+    // conv's natural (B, p*n, S, H, W) layout, coefficients (B, S, H, W, p).
+    let v = Tensor::randn(&[16, 16, 8, 8, 8], 0.0, 0.3, &mut rng);
+    let logits = Tensor::randn(&[16, 8, 8, 8, 4], 0.0, 1.0, &mut rng);
+    let coeffs = logits.softmax_trailing(1);
+    let couple = plan_routing_couple(v.shape(), coeffs.shape()).expect("routing shapes");
+    let s_hat = Tensor::randn(&couple.capsules_shape(), 0.0, 0.3, &mut rng);
+    let agree = plan_routing_agree(v.shape(), s_hat.shape(), logits.shape()).expect("routing shapes");
+    let routing_shape = "B16 S8 p4 n4 8x8";
+    bench_op(&mut records, "routing_couple", routing_shape.into(), 40 * scale, samples, || {
+        let mut out = Tensor::zeros(&couple.capsules_shape());
+        routing_couple_into(&couple, v.as_slice(), coeffs.as_slice(), out.as_mut_slice());
+        out
+    });
+    bench_op(&mut records, "routing_agree", routing_shape.into(), 40 * scale, samples, || {
+        let mut out = Tensor::zeros(&agree.logits_shape());
+        routing_agree_into(
+            &agree,
+            v.as_slice(),
+            s_hat.as_slice(),
+            logits.as_slice(),
+            out.as_mut_slice(),
+        );
+        out
     });
 
     // The full inference path: encoder → routing → decoder — once through

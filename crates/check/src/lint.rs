@@ -189,6 +189,7 @@ impl CrateKind {
 /// of these runs per training step or per inference call.
 const NUMERIC_HOT_FRAGMENTS: &[&str] = &[
     "forward", "backward", "predict", "im2col", "col2im", "matmul", "conv", "squash", "softmax",
+    "routing",
 ];
 
 /// Serve request-path functions (exact names): everything between a request

@@ -272,7 +272,9 @@ impl SpatialTemporalRouting {
         self.iters
     }
 
-    /// Computes the per-capsule predictions `V`: `(B, S, p, n_out, H, W)`.
+    /// Computes the per-capsule predictions `V` in the transform conv's own
+    /// output layout `(B, p·n_out, S, H, W)` — the layout the fused routing
+    /// kernels walk directly, so no permute or reshape follows the conv.
     fn predictions(&self, tape: &mut Tape, phi: Var, store: &ParamStore) -> Var {
         let ps = tape.value(phi).shape().to_vec();
         let (b, s, n, gh, gw) = (ps[0], ps[1], ps[2], ps[3], ps[4]);
@@ -287,7 +289,7 @@ impl SpatialTemporalRouting {
         // slot × grid cell — the routing transform fans out over the S
         // historical capsules without any tape-level threading (the tape is
         // `&mut` and must stay single-writer).
-        if self.transforms.len() == 1 {
+        let v = if self.transforms.len() == 1 {
             // Shared transform over all slots: one strided conv.
             let flat = tape.reshape(phi, &[b, 1, s * n, gh, gw]);
             let w = tape.param(store, self.transforms[0]);
@@ -297,12 +299,10 @@ impl SpatialTemporalRouting {
                 bikecap_obs::Work::conv3d(b, 1, self.horizon * self.out_dim, (s, gh, gw), (n, 3, 3))
                     .record();
             }
-            let v = tape.conv3d(flat, w, spec); // (B, p*n_out, S, H, W)
-            let v = tape.add(v, bias);
-            let v = tape.reshape(v, &[b, self.horizon, self.out_dim, s, gh, gw]);
-            tape.permute(v, &[0, 3, 1, 2, 4, 5])
+            tape.conv3d(flat, w, spec) // (B, p*n_out, S, H, W)
         } else {
-            // Separated per-slot transforms (Sec. V-B stability extension).
+            // Separated per-slot transforms (Sec. V-B stability extension),
+            // stacked along the depth axis into the shared variant's layout.
             assert_eq!(
                 self.transforms.len(),
                 s,
@@ -312,7 +312,6 @@ impl SpatialTemporalRouting {
             let mut slices = Vec::with_capacity(s);
             for (si, &wid) in self.transforms.iter().enumerate() {
                 let phi_s = tape.narrow(phi, 1, si, 1); // (B, 1, n, H, W)
-                let flat = tape.reshape(phi_s, &[b, 1, n, gh, gw]);
                 let w = tape.param(store, wid);
                 if bikecap_obs::enabled() {
                     bikecap_obs::Work::conv3d(
@@ -324,16 +323,20 @@ impl SpatialTemporalRouting {
                     )
                     .record();
                 }
-                let v = tape.conv3d(flat, w, spec); // (B, p*n_out, 1, H, W)
-                let v = tape.add(v, bias);
-                slices.push(tape.reshape(v, &[b, 1, self.horizon, self.out_dim, gh, gw]));
+                slices.push(tape.conv3d(phi_s, w, spec)); // (B, p*n_out, 1, H, W)
             }
-            tape.concat(&slices, 1) // (B, S, p, n_out, H, W)
-        }
+            tape.concat(&slices, 2) // (B, p*n_out, S, H, W)
+        };
+        tape.add(v, bias)
     }
 
     /// Runs the routing, returning squashed future capsules
     /// `(B, p, n_out, H, W)`.
+    ///
+    /// Each iteration is three tape ops: the coupling softmax (kept apart so
+    /// the coefficients stay inspectable for telemetry), the fused coupling
+    /// step and — from the second iteration on, before them — the fused
+    /// agreement step (DESIGN.md Appendix K).
     ///
     /// # Panics
     ///
@@ -349,7 +352,7 @@ impl SpatialTemporalRouting {
         }
         let v = {
             let _span = bikecap_obs::span("core.routing.transform");
-            self.predictions(tape, phi, store) // (B, S, p, n_out, H, W)
+            self.predictions(tape, phi, store) // (B, p*n_out, S, H, W)
         };
 
         // Logits B_s initialised to zero (paper Sec. III-D). The first
@@ -362,7 +365,9 @@ impl SpatialTemporalRouting {
         }
         let (mut s_hat, first_k) = {
             let _span = bikecap_obs::span("core.routing.iter0");
-            self.coupling_step(tape, v, logits, b, s, gh, gw)
+            self.record_iteration_work(b, s, gh * gw, false);
+            let k = self.coefficients(tape, logits);
+            (tape.routing_couple(v, k), k)
         };
         self.iteration_telemetry(tape, 0, first_k, None);
         for it in 1..self.iters {
@@ -370,14 +375,44 @@ impl SpatialTemporalRouting {
                 tape.mark(&format!("core.routing.iter{it}"));
             }
             let _span = bikecap_obs::span_with(|| format!("core.routing.iter{it}"));
-            let refined = self.agreement_update(tape, v, s_hat, logits, b, s, gh, gw);
-            let (next, k) = self.coupling_step(tape, v, refined, b, s, gh, gw);
+            self.record_iteration_work(b, s, gh * gw, true);
+            let refined = tape.routing_agree(v, s_hat, logits);
+            let k = self.coefficients(tape, refined);
+            s_hat = tape.routing_couple(v, k);
             self.iteration_telemetry(tape, it, k, Some((logits, refined)));
             logits = refined;
-            s_hat = next;
         }
         tape.value(s_hat).debug_assert_finite("routing.forward");
         s_hat
+    }
+
+    /// Coupling coefficients `(B, S, H, W, p)` from the logits.
+    ///
+    /// They default to a softmax over the p predicted capsules at each grid
+    /// location (the paper's prose reading of Eq. 4); optionally the literal
+    /// volume normalisation over (N_g1, N_g2, p) — see
+    /// `BikeCapConfig::routing_softmax_over_grid`.
+    fn coefficients(&self, tape: &mut Tape, logits: Var) -> Var {
+        tape.softmax_trailing(logits, if self.softmax_over_grid { 3 } else { 1 })
+    }
+
+    /// Stamps the work model of one routing iteration (softmax, fused
+    /// couple, and the fused agree from the second iteration on) into the
+    /// current `core.routing.iterN` span.
+    fn record_iteration_work(&self, b: usize, s: usize, cells: usize, agree: bool) {
+        if !bikecap_obs::enabled() {
+            return;
+        }
+        let (p, n_out) = (self.horizon, self.out_dim);
+        if agree {
+            bikecap_obs::Work::routing_agree(b, s, p, n_out, cells).record();
+        }
+        if self.softmax_over_grid {
+            bikecap_obs::Work::softmax(b * s, cells * p).record();
+        } else {
+            bikecap_obs::Work::softmax(b * s * cells, p).record();
+        }
+        bikecap_obs::Work::routing_couple(b, s, p, n_out, cells).record();
     }
 
     /// Per-iteration routing telemetry (paper-specific convergence signals),
@@ -410,74 +445,6 @@ impl SpatialTemporalRouting {
                 delta,
             );
         }
-    }
-
-    /// One coupling step: softmax the logits into coefficients, combine the
-    /// per-capsule predictions `V`, and squash: `(B, p, n_out, H, W)`.
-    /// Also returns the coupling coefficients (pre-permute layout
-    /// `(B, S, H, W, p)`) so the caller can derive convergence telemetry.
-    ///
-    /// Coupling coefficients default to a softmax over the p predicted
-    /// capsules at each grid location (the paper's prose reading of Eq. 4);
-    /// optionally the literal volume normalisation over (N_g1, N_g2, p) —
-    /// see `BikeCapConfig::routing_softmax_over_grid`.
-    #[allow(clippy::too_many_arguments)]
-    fn coupling_step(
-        &self,
-        tape: &mut Tape,
-        v: Var,
-        logits: Var,
-        b: usize,
-        s: usize,
-        gh: usize,
-        gw: usize,
-    ) -> (Var, Var) {
-        let (p, n_out) = (self.horizon, self.out_dim);
-        if bikecap_obs::enabled() {
-            // Logits are (B, S, H, W, p): one softmax group per trailing-axes
-            // block, then one squash per (B, p, H, W) output capsule.
-            let cells = b * s * gh * gw;
-            if self.softmax_over_grid {
-                bikecap_obs::Work::softmax(b * s, gh * gw * p).record();
-            } else {
-                bikecap_obs::Work::softmax(cells, p).record();
-            }
-            bikecap_obs::Work::squash(b * p * gh * gw, n_out).record();
-        }
-        let k = if self.softmax_over_grid {
-            tape.softmax_trailing(logits, 3)
-        } else {
-            tape.softmax_trailing(logits, 1)
-        };
-        let kp = tape.permute(k, &[0, 1, 4, 2, 3]); // (B, S, p, H, W)
-        let kb = tape.reshape(kp, &[b, s, p, 1, gh, gw]);
-        let weighted = tape.mul(v, kb);
-        let summed = tape.sum_axes_keepdim(weighted, &[1]); // (B, 1, p, n_out, H, W)
-        let s_raw = tape.reshape(summed, &[b, p, n_out, gh, gw]);
-        (tape.squash(s_raw, 2), k)
-    }
-
-    /// Agreement update: `b += <V_s, S>` along the capsule dim, returning the
-    /// refined logits `(B, S, H, W, p)`.
-    #[allow(clippy::too_many_arguments)]
-    fn agreement_update(
-        &self,
-        tape: &mut Tape,
-        v: Var,
-        s_hat: Var,
-        logits: Var,
-        b: usize,
-        s: usize,
-        gh: usize,
-        gw: usize,
-    ) -> Var {
-        let (p, n_out) = (self.horizon, self.out_dim);
-        let sb = tape.reshape(s_hat, &[b, 1, p, n_out, gh, gw]);
-        let prod = tape.mul(v, sb);
-        let agree = tape.sum_axes_keepdim(prod, &[3]); // (B, S, p, 1, H, W)
-        let agree = tape.reshape(agree, &[b, s, p, gh, gw]);
-        let agree = tape.permute(agree, &[0, 1, 3, 4, 2]); // (B, S, H, W, p)
-        tape.add(logits, agree)
     }
 }
 

@@ -23,8 +23,8 @@ use bikecap_tensor::conv::{
     to_position_matrix_into,
 };
 use bikecap_tensor::exec::{
-    fused_squash_into, map_into, matmul_into, permute_into, reduce_sum_into,
-    softmax_trailing_into, transpose2d_into, zip_planned_into,
+    fused_squash_into, map_into, matmul_into, permute_into, reduce_sum_into, routing_agree_into,
+    routing_couple_into, softmax_trailing_into, transpose2d_into, zip_planned_into,
 };
 
 use crate::error::IrError;
@@ -229,6 +229,8 @@ fn step_name(step: &Step) -> &'static str {
         Step::ConvT { .. } => "ir.step.convt",
         Step::Squash { .. } => "ir.step.squash",
         Step::BiasRelu { .. } => "ir.step.bias_relu",
+        Step::RoutingCouple { .. } => "ir.step.routing_couple",
+        Step::RoutingAgree { .. } => "ir.step.routing_agree",
     }
 }
 
@@ -283,6 +285,22 @@ fn record_step_work(step: &Step, store: &ParamStore, arena: &Arena, quant: Optio
         Step::Squash {
             outer, dk, inner, ..
         } => Work::squash(outer * inner, *dk).record(),
+        Step::RoutingCouple { plan, .. } => Work::routing_couple(
+            plan.batch(),
+            plan.slots(),
+            plan.horizon(),
+            plan.dim(),
+            plan.cells(),
+        )
+        .record(),
+        Step::RoutingAgree { plan, .. } => Work::routing_agree(
+            plan.batch(),
+            plan.slots(),
+            plan.horizon(),
+            plan.dim(),
+            plan.cells(),
+        )
+        .record(),
         _ => {}
     }
 }
@@ -514,6 +532,28 @@ fn run_step(
                 let t = x + y;
                 0.5 * (t + t.abs())
             });
+            arena.slabs[*out] = o;
+        }
+        Step::RoutingCouple { plan, v, k, out } => {
+            let mut o = mem::take(&mut arena.slabs[*out]);
+            routing_couple_into(plan, fetch(arena, store, v), fetch(arena, store, k), &mut o);
+            arena.slabs[*out] = o;
+        }
+        Step::RoutingAgree {
+            plan,
+            v,
+            s,
+            logits,
+            out,
+        } => {
+            let mut o = mem::take(&mut arena.slabs[*out]);
+            routing_agree_into(
+                plan,
+                fetch(arena, store, v),
+                fetch(arena, store, s),
+                fetch(arena, store, logits),
+                &mut o,
+            );
             arena.slabs[*out] = o;
         }
     }

@@ -105,6 +105,10 @@ pub enum Op {
     },
     /// `relu(a + b)` collapsed to one kernel.
     FusedBiasRelu,
+    /// Fused routing coupling step `squash_n(Σ_s V·K)`; operands `(V, K)`.
+    RoutingCouple,
+    /// Fused routing agreement step `L + Σ_c V·Ŝ`; operands `(V, Ŝ, L)`.
+    RoutingAgree,
 }
 
 /// One node of the lowered graph.
@@ -197,6 +201,11 @@ impl Graph {
     pub fn out_shape(&self) -> &[usize] {
         &self.nodes[self.output].shape
     }
+
+    /// The nodes in topological (trace) order.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
 }
 
 fn lower_op(trace: &TraceOp, is_input: bool) -> Result<Op, IrError> {
@@ -237,6 +246,8 @@ fn lower_op(trace: &TraceOp, is_input: bool) -> Result<Op, IrError> {
         TraceOp::SoftmaxTrailing(k) => Op::Softmax(*k),
         TraceOp::Conv3d(spec) => Op::Conv3d(*spec),
         TraceOp::ConvTranspose3d(spec) => Op::ConvTranspose3d(*spec),
+        TraceOp::RoutingCouple => Op::RoutingCouple,
+        TraceOp::RoutingAgree => Op::RoutingAgree,
     })
 }
 
@@ -368,6 +379,22 @@ fn check_shape(
             let oh = conv_extent(x[3], w[3], spec.stride.1, spec.padding.1, i)?;
             let ow = conv_extent(x[4], w[4], spec.stride.2, spec.padding.2, i)?;
             expect(vec![x[0], w[0], od, oh, ow])
+        }
+        Op::RoutingCouple => {
+            let (v, k) = (parent_shape(0)?, parent_shape(1)?);
+            let plan = bikecap_tensor::exec::plan_routing_couple(v, k).ok_or_else(|| {
+                IrError::Shape(format!("node {i}: routing couple of V {v:?} with K {k:?}"))
+            })?;
+            expect(plan.capsules_shape().to_vec())
+        }
+        Op::RoutingAgree => {
+            let (v, s, l) = (parent_shape(0)?, parent_shape(1)?, parent_shape(2)?);
+            let plan = bikecap_tensor::exec::plan_routing_agree(v, s, l).ok_or_else(|| {
+                IrError::Shape(format!(
+                    "node {i}: routing agree of V {v:?}, S {s:?}, logits {l:?}"
+                ))
+            })?;
+            expect(plan.logits_shape().to_vec())
         }
         Op::ConvTranspose3d(spec) => {
             let (x, w) = (parent_shape(0)?, parent_shape(1)?);

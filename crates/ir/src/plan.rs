@@ -27,7 +27,7 @@
 //! share scratch instead of stacking it.
 //!
 //! Every dispatch decision — broadcast strides, reduction strides, permute
-//! strides, matmul extents, convolution geometry — is baked into the
+//! strides, matmul extents, convolution and routing geometry — is baked into the
 //! [`Step`]s here at compile time. Steady-state execution performs **zero
 //! heap allocations**: it only indexes slabs and calls `*_into` kernels.
 
@@ -36,7 +36,8 @@ use std::collections::HashMap;
 use bikecap_autograd::ParamId;
 use bikecap_tensor::conv::Conv3dSpec;
 use bikecap_tensor::exec::{
-    plan_broadcast, plan_permute, plan_reduce_sum, BroadcastPlan, PermutePlan, ReducePlan,
+    plan_broadcast, plan_permute, plan_reduce_sum, plan_routing_agree, plan_routing_couple,
+    BroadcastPlan, PermutePlan, ReducePlan, RoutingPlan,
 };
 use bikecap_tensor::Tensor;
 
@@ -164,6 +165,19 @@ pub(crate) enum Step {
         plan: BroadcastPlan,
         a: Src,
         b: Src,
+        out: usize,
+    },
+    RoutingCouple {
+        plan: RoutingPlan,
+        v: Src,
+        k: Src,
+        out: usize,
+    },
+    RoutingAgree {
+        plan: RoutingPlan,
+        v: Src,
+        s: Src,
+        logits: Src,
         out: usize,
     },
 }
@@ -603,6 +617,23 @@ impl<'g> Planner<'g> {
                 plan: zip_plan(shape_of(0), shape_of(1))?,
                 a: self.operand(node.parents[0])?,
                 b: self.operand(node.parents[1])?,
+                out,
+            },
+            Op::RoutingCouple => Step::RoutingCouple {
+                plan: plan_routing_couple(shape_of(0), shape_of(1)).ok_or_else(|| {
+                    IrError::Shape(format!("node {i}: routing couple operands disagree"))
+                })?,
+                v: self.operand(node.parents[0])?,
+                k: self.operand(node.parents[1])?,
+                out,
+            },
+            Op::RoutingAgree => Step::RoutingAgree {
+                plan: plan_routing_agree(shape_of(0), shape_of(1), shape_of(2)).ok_or_else(
+                    || IrError::Shape(format!("node {i}: routing agree operands disagree")),
+                )?,
+                v: self.operand(node.parents[0])?,
+                s: self.operand(node.parents[1])?,
+                logits: self.operand(node.parents[2])?,
                 out,
             },
         })

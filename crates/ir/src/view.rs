@@ -10,7 +10,8 @@
 //! recycling schedule.
 //!
 //! Extents marked `derived` are recomputed from dispatch geometry
-//! (matmul `m/k/n`, convolution output dims, reduce/permute plans) rather
+//! (matmul `m/k/n`, convolution output dims, reduce/permute and routing
+//! plans) rather
 //! than read back from the slab table, so a corrupted slab length is
 //! caught by comparison instead of being believed. Steps whose kernels
 //! only promise "input and output have the same length" (`map`, `scale`,
@@ -213,6 +214,17 @@ fn step_view(step: &Step, slabs: &[usize]) -> StepView {
             let n = outer * dk * inner;
             read(src, Some(derived(0, n)));
             ("squash", vec![derived(*out, n)])
+        }
+        Step::RoutingCouple { plan, v, k, out } => {
+            read(v, Some(derived(0, plan.v_len())));
+            read(k, Some(derived(0, plan.logits_len())));
+            ("routing_couple", vec![derived(*out, plan.capsules_len())])
+        }
+        Step::RoutingAgree { plan, v, s, logits, out } => {
+            read(v, Some(derived(0, plan.v_len())));
+            read(s, Some(derived(0, plan.capsules_len())));
+            read(logits, Some(derived(0, plan.logits_len())));
+            ("routing_agree", vec![derived(*out, plan.logits_len())])
         }
         Step::Conv { x, w, col, wt, mat, out, dims, kernel, spec, c_out } => {
             let k = dims.1 * kernel.0 * kernel.1 * kernel.2;

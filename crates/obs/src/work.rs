@@ -154,28 +154,51 @@ impl Work {
         }
     }
 
-    /// Routing transform: per batch entry (fold grid cells into `batch`),
-    /// every of the `s_in` input capsules predicts every of the `s_out`
-    /// output capsules through its own `(d_out, d_in)` matrix — a batched
-    /// matmul of `2·batch·s_in·s_out·d_in·d_out` flops; traffic is the input
-    /// poses, the transform weights once, and the prediction writes.
-    pub fn routing_transform(
+    /// Fused routing coupling step `Ŝ = squash_n(Σ_s V·K)` over `batch`
+    /// samples of `cells` grid cells, `slots` historical capsules, `horizon`
+    /// future capsules of dimension `dim` (DESIGN.md Appendix K).
+    ///
+    /// With `V = B·p·n·S·C` predictions: the weighted sum is `2·V` flops and
+    /// the squash of the `B·p·C` output vectors adds `3n + 8` each. Traffic
+    /// is as implemented: `V` read once, the coefficients `K (B·S·C·p)` read
+    /// once per capsule component (`n` strided passes), and the output
+    /// written by the sum then read and rewritten by the in-place squash.
+    pub fn routing_couple(
         batch: usize,
-        s_in: usize,
-        s_out: usize,
-        d_in: usize,
-        d_out: usize,
+        slots: usize,
+        horizon: usize,
+        dim: usize,
+        cells: usize,
     ) -> Work {
-        let (b, si, so, di, dv) = (
-            batch as f64,
-            s_in as f64,
-            s_out as f64,
-            d_in as f64,
-            d_out as f64,
-        );
+        let (b, s, p, n, c) = (batch as f64, slots as f64, horizon as f64, dim as f64, cells as f64);
+        let v = b * p * n * s * c;
+        let caps = b * p * n * c;
         Work {
-            flops: 2.0 * b * si * so * di * dv,
-            bytes: F32 * (b * si * di + si * so * di * dv + b * si * so * dv),
+            flops: 2.0 * v + b * p * c * (3.0 * n + 8.0),
+            bytes: F32 * (v + n * b * s * c * p + 3.0 * caps),
+        }
+    }
+
+    /// Fused routing agreement step `L' = L + Σ_c V·Ŝ` (same geometry as
+    /// [`Work::routing_couple`]).
+    ///
+    /// The dot products are `2·V` flops and the logit update one add per
+    /// logit (`B·S·C·p`). Traffic is as implemented: `V` read once, the
+    /// capsules `Ŝ (B·p·n·C)` read once per slot, the logits read once, and
+    /// the output written by the dot then read and rewritten by the update.
+    pub fn routing_agree(
+        batch: usize,
+        slots: usize,
+        horizon: usize,
+        dim: usize,
+        cells: usize,
+    ) -> Work {
+        let (b, s, p, n, c) = (batch as f64, slots as f64, horizon as f64, dim as f64, cells as f64);
+        let v = b * p * n * s * c;
+        let logits = b * s * c * p;
+        Work {
+            flops: 2.0 * v + logits,
+            bytes: F32 * (v + s * b * p * n * c + 3.0 * logits),
         }
     }
 
@@ -259,6 +282,20 @@ mod tests {
         let qc = Work::conv3d_q8(16, 4, 8, (8, 8, 8), (3, 3, 3));
         assert_eq!(fc.bytes - qc.bytes, (4.0 - 36.0 / 32.0) * 108.0 * 8.0);
         assert!(qc.intensity() > fc.intensity());
+    }
+
+    #[test]
+    fn routing_steps_count_the_full_prediction_volume() {
+        // B=16, S=8, p=4, n=4, 8x8 grid: V holds 131072 predictions.
+        let v = 16.0 * 4.0 * 4.0 * 8.0 * 64.0;
+        let couple = Work::routing_couple(16, 8, 4, 4, 64);
+        assert_eq!(couple.flops, 2.0 * v + 16.0 * 4.0 * 64.0 * 20.0);
+        assert!(couple.bytes > 4.0 * v, "couple must count the V read");
+        let agree = Work::routing_agree(16, 8, 4, 4, 64);
+        assert_eq!(agree.flops, 2.0 * v + 16.0 * 8.0 * 64.0 * 4.0);
+        assert!(agree.bytes > 4.0 * v, "agree must count the V read");
+        // Both are memory-bound reductions.
+        assert!(couple.intensity() < 1.0 && agree.intensity() < 1.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! and that the two agree on total conv work — the compiled plan must not
 //! drift from the eager accounting for the same model and input.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bikecap::model::{BikeCap, BikeCapConfig, ExecMode};
 use bikecap::obs::{self, Kind, MemorySink, Roofline};
@@ -19,7 +19,13 @@ use bikecap::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Serializes this file's captures: the obs sink is process-global, so two
+/// tests installing their own sinks concurrently would steal each other's
+/// events.
+static CAPTURE: Mutex<()> = Mutex::new(());
+
 fn traced_predict(mode: ExecMode) -> Vec<obs::Event> {
+    let _capture = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
     let sink = Arc::new(MemorySink::new(1 << 18));
     obs::install(sink.clone());
     let mut model = BikeCap::seeded(BikeCapConfig::new(8, 8).history(8).horizon(4), 42);
@@ -58,7 +64,14 @@ fn compiled_steps_stamp_the_work_model() {
     let rows = obs::roofline_table(&events, &Roofline::default());
     // The BikeCAP plan has no standalone Matmul step — its matmuls are fused
     // inside Conv/ConvT — so the conv family plus routing math is the full set.
-    for want in ["ir.step.conv", "ir.step.convt", "ir.step.softmax", "ir.step.squash"] {
+    for want in [
+        "ir.step.conv",
+        "ir.step.convt",
+        "ir.step.softmax",
+        "ir.step.squash",
+        "ir.step.routing_couple",
+        "ir.step.routing_agree",
+    ] {
         let row = rows
             .iter()
             .find(|r| r.name == want)
