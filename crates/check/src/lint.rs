@@ -43,6 +43,12 @@
 //!   lifecycle). An ad-hoc thread escapes the `--threads` budget, the
 //!   pool's panic containment, and the rt.* observability spans; fan work
 //!   out through `bikecap_rt::parallel_for` / `for_each_chunk` instead.
+//! * **no-global-sink-install** — no `obs::install(` /
+//!   `bikecap_obs::install(` call outside `bikecap-obs` itself. The obs sink
+//!   is one process-global slot owned by the process (the CLI's `--trace`,
+//!   a test's capture ring); a library that installs its own silently
+//!   replaces that sink and turns recording on for every thread. Return the
+//!   values the caller needs instead (e.g. `BikeCap::predict_with_telemetry`).
 //!
 //! Three further rules need scope structure the flat token walk cannot
 //! express (fn/impl nesting, doc attachment, guard lifetimes); they run on
@@ -87,6 +93,7 @@ pub enum Rule {
     AtomicCheckpointWrite,
     NoPrintln,
     NoRawSpawn,
+    NoGlobalSinkInstall,
     NoAllocInHotPath,
     UnsafeContract,
     LockOrder,
@@ -106,6 +113,7 @@ impl Rule {
             Rule::AtomicCheckpointWrite => "atomic-checkpoint-write",
             Rule::NoPrintln => "no-println",
             Rule::NoRawSpawn => "no-raw-spawn",
+            Rule::NoGlobalSinkInstall => "no-global-sink-install",
             Rule::NoAllocInHotPath => "no-alloc-in-hot-path",
             Rule::UnsafeContract => "unsafe-contract",
             Rule::LockOrder => "lock-order",
@@ -226,8 +234,6 @@ const LIVE_HOT_FNS: &[&str] = &[
     "seal_until",
     "count",
     "frame",
-    "record",
-    "take",
     "observe",
     "observe_at",
     "observe_unscored",
@@ -663,6 +669,26 @@ fn token_findings(file: &str, kind: CrateKind, tokens: &[Token]) -> Vec<Finding>
                     message: "`thread::spawn` outside bikecap-rt/bikecap-serve escapes the \
                               --threads budget, panic containment, and rt.* spans; fan out \
                               through `bikecap_rt::parallel_for` or audit and allowlist"
+                        .to_string(),
+                });
+                doc_buf.clear();
+                pub_flag = false;
+                i += 1;
+            }
+            TokenKind::Ident(w)
+                if (w == "obs" || w == "bikecap_obs")
+                    && kind != CrateKind::Obs
+                    && is_path_call(tokens, i, "install") =>
+            {
+                let func = stack.last().map(|f| f.name.clone());
+                findings.push(Finding {
+                    rule: Rule::NoGlobalSinkInstall,
+                    file: file.to_string(),
+                    line: tokens[i].line,
+                    func: func.unwrap_or_default(),
+                    message: "`obs::install` outside bikecap-obs replaces the process's trace \
+                              sink and enables recording process-wide; return the values \
+                              instead and leave the sink to the binary or test that owns it"
                         .to_string(),
                 });
                 doc_buf.clear();
@@ -1207,6 +1233,47 @@ mod tests {
         // form, and only serve uses it; a plain `spawn(` never matches.
         let plain = "fn helper() { spawn(|| {}); }";
         assert!(lint_source("crates/core/src/trainer.rs", plain).is_empty());
+    }
+
+    #[test]
+    fn global_sink_install_is_flagged_outside_obs() {
+        // Every path form, in any linted crate, hot fn or not.
+        let short = "fn bind() { obs::install(sink); }";
+        let full = "fn bind() { bikecap_obs::install(Arc::new(NoopSink)); }";
+        let nested = "fn bind() { bikecap::obs::install(sink); }";
+        for file in [
+            "crates/live/src/adapt.rs",
+            "crates/core/src/model.rs",
+            "crates/serve/src/server.rs",
+            "crates/bench/src/lib.rs",
+        ] {
+            for src in [short, full, nested] {
+                let f = lint_source(file, src);
+                assert_eq!(rules(&f), vec![Rule::NoGlobalSinkInstall], "{file}: {src}");
+                assert_eq!(f[0].func, "bind");
+            }
+        }
+    }
+
+    #[test]
+    fn global_sink_install_allowed_in_obs_and_tests() {
+        let src = "fn bind() { bikecap_obs::install(sink); }";
+        // The obs crate owns the slot.
+        assert!(lint_source("crates/obs/src/lib.rs", src).is_empty());
+        // Test code installs its own capture ring, like every other rule's
+        // test exemption.
+        let test_only =
+            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { bikecap_obs::install(s); }\n}";
+        assert!(lint_source("crates/live/src/adapt.rs", test_only).is_empty());
+        // Clearing the sink, a method named `install`, and a different
+        // crate's `install` never match.
+        for other in [
+            "fn f() { bikecap_obs::clear(); }",
+            "fn f() { plan.install(sink); }",
+            "fn f() { faults::install(plan); }",
+        ] {
+            assert!(lint_source("crates/live/src/adapt.rs", other).is_empty(), "{other}");
+        }
     }
 
     #[test]

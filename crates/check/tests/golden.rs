@@ -25,6 +25,7 @@ const ALL_RULES: &[Rule] = &[
     Rule::AtomicCheckpointWrite,
     Rule::NoPrintln,
     Rule::NoRawSpawn,
+    Rule::NoGlobalSinkInstall,
     Rule::NoAllocInHotPath,
     Rule::UnsafeContract,
     Rule::LockOrder,

@@ -342,9 +342,19 @@ impl SpatialTemporalRouting {
     ///
     /// Panics on shape mismatches.
     pub fn forward(&self, tape: &mut Tape, phi: Var, store: &ParamStore) -> Var {
-        let ps = tape.value(phi).shape().to_vec();
-        assert_eq!(ps.len(), 5, "routing expects capsules (B, S, n, H, W)");
-        let (b, s, gh, gw) = (ps[0], ps[1], ps[3], ps[4]);
+        self.forward_with(tape, phi, store, None)
+    }
+
+    /// [`SpatialTemporalRouting::forward`], also appending each iteration's
+    /// convergence statistics to `telemetry` when one is passed.
+    pub(crate) fn forward_with(
+        &self,
+        tape: &mut Tape,
+        phi: Var,
+        store: &ParamStore,
+        mut telemetry: Option<&mut RoutingTelemetry>,
+    ) -> Var {
+        let (b, s, gh, gw) = capsule_grid(tape.value(phi).shape());
         let p = self.horizon;
         let _routing_span = bikecap_obs::span("core.routing");
         if bikecap_obs::enabled() {
@@ -369,7 +379,7 @@ impl SpatialTemporalRouting {
             let k = self.coefficients(tape, logits);
             (tape.routing_couple(v, k), k)
         };
-        self.iteration_telemetry(tape, 0, first_k, None);
+        self.iteration_telemetry(tape, 0, first_k, None, telemetry.as_deref_mut());
         for it in 1..self.iters {
             if bikecap_obs::enabled() {
                 tape.mark(&format!("core.routing.iter{it}"));
@@ -379,7 +389,13 @@ impl SpatialTemporalRouting {
             let refined = tape.routing_agree(v, s_hat, logits);
             let k = self.coefficients(tape, refined);
             s_hat = tape.routing_couple(v, k);
-            self.iteration_telemetry(tape, it, k, Some((logits, refined)));
+            self.iteration_telemetry(
+                tape,
+                it,
+                k,
+                Some((logits, refined)),
+                telemetry.as_deref_mut(),
+            );
             logits = refined;
         }
         tape.value(s_hat).debug_assert_finite("routing.forward");
@@ -415,19 +431,21 @@ impl SpatialTemporalRouting {
         bikecap_obs::Work::routing_couple(b, s, p, n_out, cells).record();
     }
 
-    /// Per-iteration routing telemetry (paper-specific convergence signals),
-    /// recorded only when obs is enabled: the mean entropy of the coupling
-    /// coefficients over their softmax group (low entropy = capsules have
-    /// committed) and the mean absolute logit update contributed by the
-    /// agreement step (shrinking deltas = routing has converged).
+    /// Per-iteration routing telemetry (paper-specific convergence signals):
+    /// the mean entropy of the coupling coefficients over their softmax
+    /// group (low entropy = capsules have committed) and the mean absolute
+    /// logit update contributed by the agreement step (shrinking deltas =
+    /// routing has converged). Computed only when obs is enabled (as
+    /// `core.routing.iterN.*` value events) or a `sink` is passed.
     fn iteration_telemetry(
         &self,
         tape: &Tape,
         iteration: usize,
         coupling: Var,
         logit_update: Option<(Var, Var)>,
+        mut sink: Option<&mut RoutingTelemetry>,
     ) {
-        if !bikecap_obs::enabled() {
+        if !bikecap_obs::enabled() && sink.is_none() {
             return;
         }
         let trailing = if self.softmax_over_grid { 3 } else { 1 };
@@ -436,6 +454,9 @@ impl SpatialTemporalRouting {
             || format!("core.routing.iter{iteration}.entropy"),
             entropy,
         );
+        if let Some(t) = sink.as_deref_mut() {
+            t.entropy.push(entropy);
+        }
         if let Some((before, after)) = logit_update {
             let diff = tape.value(after).sub(tape.value(before));
             let count = diff.as_slice().len().max(1);
@@ -444,7 +465,47 @@ impl SpatialTemporalRouting {
                 || format!("core.routing.iter{iteration}.agreement_delta"),
                 delta,
             );
+            if let Some(t) = sink {
+                t.agreement.push(delta);
+            }
         }
+    }
+}
+
+/// The routing-convergence statistics of one forward pass, in iteration
+/// order: the coupling entropy of every iteration and the agreement update
+/// of every refinement (from the second iteration on). These are the values
+/// the `core.routing.iterN.*` obs events carry, returned to the caller
+/// instead (see [`crate::BikeCap::predict_with_telemetry`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RoutingTelemetry {
+    /// Mean coupling entropy (nats) per routing iteration.
+    pub entropy: Vec<f64>,
+    /// Mean absolute logit update per agreement step.
+    pub agreement: Vec<f64>,
+}
+
+impl RoutingTelemetry {
+    /// `(mean entropy, mean agreement update)`, each summed in iteration
+    /// order and `0.0` for an empty list.
+    pub fn means(&self) -> (f64, f64) {
+        let mean = |v: &[f64]| match v.len() {
+            0 => 0.0,
+            n => v.iter().sum::<f64>() / n as f64,
+        };
+        (mean(&self.entropy), mean(&self.agreement))
+    }
+}
+
+/// `(B, S, H, W)` of a capsule tensor `(B, S, n, H, W)`.
+///
+/// # Panics
+///
+/// Panics unless `shape` has rank 5.
+fn capsule_grid(shape: &[usize]) -> (usize, usize, usize, usize) {
+    match *shape {
+        [b, s, _, gh, gw] => (b, s, gh, gw),
+        _ => panic!("routing expects capsules (B, S, n, H, W), got {shape:?}"),
     }
 }
 
@@ -743,6 +804,21 @@ mod tests {
                 "routing must stay finite on zero input (over_grid={over_grid})"
             );
         }
+    }
+
+    #[test]
+    fn telemetry_means_fold_in_iteration_order() {
+        let t = RoutingTelemetry {
+            entropy: vec![1.0, 3.0, 0.5],
+            agreement: vec![0.25, 0.75],
+        };
+        assert_eq!(t.means(), ((1.0 + 3.0 + 0.5) / 3.0, 0.5));
+        assert_eq!(RoutingTelemetry::default().means(), (0.0, 0.0));
+        let single_iteration = RoutingTelemetry {
+            entropy: vec![2.0],
+            agreement: Vec::new(),
+        };
+        assert_eq!(single_iteration.means(), (2.0, 0.0));
     }
 
     #[test]

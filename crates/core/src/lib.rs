@@ -40,6 +40,7 @@ pub mod model;
 pub mod shapecheck;
 pub mod trainer;
 
+pub use capsules::RoutingTelemetry;
 pub use config::{BikeCapConfig, Encoder, DecoderKind, Variant};
 pub use model::{BikeCap, ExecMode, TrainOptions, TrainReport};
 pub use bikecap_verify::VerifyMode;

@@ -22,7 +22,7 @@ use bikecap_verify::VerifyMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::capsules::{HistoricalCapsules, SpatialTemporalRouting};
+use crate::capsules::{HistoricalCapsules, RoutingTelemetry, SpatialTemporalRouting};
 use crate::config::BikeCapConfig;
 use crate::decoder::Decoder;
 use crate::shapecheck::ShapeError;
@@ -402,6 +402,17 @@ impl BikeCap {
     ///
     /// Panics on shape mismatches.
     pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
+        self.forward_with(tape, x, None)
+    }
+
+    /// [`BikeCap::forward`], also collecting the routing stage's
+    /// convergence statistics into `telemetry` when one is passed.
+    fn forward_with(
+        &self,
+        tape: &mut Tape,
+        x: Var,
+        telemetry: Option<&mut RoutingTelemetry>,
+    ) -> Var {
         let _span = bikecap_obs::span("core.forward");
         let xs = tape.value(x).shape().to_vec();
         assert_eq!(xs.len(), 5, "BikeCap expects (B, F, h, H, W), got {xs:?}");
@@ -412,7 +423,7 @@ impl BikeCap {
             tape.narrow(x, 1, 0, 2)
         };
         let caps = self.encoder.forward(tape, x, &self.store);
-        let future = self.routing.forward(tape, caps, &self.store);
+        let future = self.routing.forward_with(tape, caps, &self.store, telemetry);
         self.decoder.forward(tape, future, &self.store)
     }
 
@@ -425,6 +436,28 @@ impl BikeCap {
     /// Panics on shape mismatches.
     pub fn predict(&self, input: &Tensor) -> Tensor {
         let out = self.infer(Self::stage_input(input));
+        Self::unstage_output(input, out)
+    }
+
+    /// [`BikeCap::predict`] plus the routing telemetry of the pass: the
+    /// per-iteration coupling entropy and agreement updates that
+    /// `core.routing.iterN.*` obs events carry, returned whether or not obs
+    /// is enabled. Always runs the eager tape (with the quantized overlay
+    /// when one is loaded), whose output is bitwise identical to the
+    /// compiled executor's.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches.
+    pub fn predict_with_telemetry(&self, input: &Tensor) -> (Tensor, RoutingTelemetry) {
+        let mut telemetry = RoutingTelemetry::default();
+        let out = self.infer_eager(Self::stage_input(input), Some(&mut telemetry));
+        (Self::unstage_output(input, out), telemetry)
+    }
+
+    /// Undoes [`BikeCap::stage_input`] on the output: a rank-4 window's
+    /// `(1, p, H, W)` result loses its batch axis.
+    fn unstage_output(input: &Tensor, out: Tensor) -> Tensor {
         if input.ndim() == 4 {
             Self::drop_batch_axis(&out)
         } else {
@@ -457,19 +490,19 @@ impl BikeCap {
         if let Some(out) = self.infer_compiled(&stacked) {
             return out;
         }
-        self.infer_eager(stacked)
+        self.infer_eager(stacked, None)
     }
 
     /// The eager oracle: walks a fresh autograd tape. Kept callable under
     /// any [`ExecMode`] — it is the reference the compiled path must match
     /// bitwise, and the fallback when compilation or execution errors.
-    fn infer_eager(&self, stacked: Tensor) -> Tensor {
+    fn infer_eager(&self, stacked: Tensor, telemetry: Option<&mut RoutingTelemetry>) -> Tensor {
         let mut tape = Tape::new();
         if let Some(set) = &self.quant {
             tape.set_overlay(set.clone());
         }
         let x = tape.constant(stacked);
-        let y = self.forward(&mut tape, x);
+        let y = self.forward_with(&mut tape, x, telemetry);
         tape.value(y).clone()
     }
 
@@ -666,7 +699,7 @@ impl BikeCap {
                 bikecap_obs::value("ir.exec.fallback", 1.0);
             }
         }
-        let eager = self.infer_eager(Self::stage_input(input));
+        let eager = self.infer_eager(Self::stage_input(input), None);
         if out.len() != eager.as_slice().len() {
             return Err(IrError::Exec(format!(
                 "output buffer has {} scalars, model produces {}",
@@ -719,11 +752,7 @@ impl BikeCap {
             let rows = piece.shape().first().copied().unwrap_or(1);
             let slice = out.narrow(0, offset, rows);
             offset += rows;
-            results.push(if input.ndim() == 4 {
-                Self::drop_batch_axis(&slice)
-            } else {
-                slice
-            });
+            results.push(Self::unstage_output(input, slice));
         }
         results
     }

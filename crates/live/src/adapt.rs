@@ -3,16 +3,16 @@
 //!
 //! [`LiveLoop`] wires the crate's pieces to a serving [`ModelEntry`]:
 //!
-//! 1. A *monitor* copy of the incumbent runs in eager mode (the only
-//!    execution mode that emits routing telemetry) and predicts each newly
-//!    sealed slot from the rolling window. Its absolute error plus the
-//!    captured `core.routing.iter*` entropy/agreement statistics feed the
-//!    [`DriftDetector`].
+//! 1. The serving model itself predicts each newly sealed slot from the
+//!    rolling window through `BikeCap::predict_with_telemetry`, which
+//!    returns the routing entropy/agreement statistics of that pass next to
+//!    the prediction. Its absolute error plus those statistics feed the
+//!    [`DriftDetector`]. The loop installs no obs sink.
 //! 2. On confirmed drift the incumbent's weights are checkpointed, a
 //!    candidate is fine-tuned on the fresh window through
 //!    `BikeCap::fit_resilient` — inheriting its autosave and
 //!    divergence-rollback machinery — and shadow-evaluated against the
-//!    incumbent on the window's held-out validation slice.
+//!    serving incumbent on the window's held-out validation slice.
 //! 3. Only a winning candidate is hot-swapped, through the same
 //!    [`ModelEntry::reload`] path `POST /admin/reload` uses (so the
 //!    `serve.reload.swap` failpoint and degraded-mode pinning apply). A
@@ -33,13 +33,13 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bikecap_city_sim::dataset::{ForecastDataset, Normalizer, Split};
 use bikecap_city_sim::{FEATURES, F_BIKE_PICKUP};
 use bikecap_core::trainer::{ResilientOptions, TrainerError};
-use bikecap_core::{BikeCap, ExecMode, TrainOptions};
-use bikecap_obs::{Event, Kind, Sink};
+use bikecap_core::{BikeCap, TrainOptions};
+use bikecap_obs::Sink;
 use bikecap_serve::registry::ModelEntry;
 use bikecap_serve::Metrics;
 use bikecap_tensor::Tensor;
@@ -47,70 +47,6 @@ use bikecap_tensor::Tensor;
 use crate::drift::{DriftDetector, DriftState, DriftThresholds, SlotSignals};
 use crate::stream::RecordStream;
 use crate::window::{RollingWindow, WindowError};
-
-/// An obs sink that siphons routing telemetry while forwarding every event
-/// to an optional inner sink (so traces and chaos dumps keep working while
-/// the live loop listens).
-pub struct RoutingProbe {
-    inner: Option<Arc<dyn Sink>>,
-    entropy: Mutex<Vec<f64>>,
-    agreement: Mutex<Vec<f64>>,
-}
-
-impl RoutingProbe {
-    /// A probe forwarding to `inner` (pass the test's `MemorySink` here to
-    /// keep receiving events while the loop runs).
-    pub fn new(inner: Option<Arc<dyn Sink>>) -> Self {
-        RoutingProbe {
-            inner,
-            entropy: Mutex::new(Vec::new()),
-            agreement: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Drains the captured samples, returning `(mean entropy, mean
-    /// agreement delta)` — `(0.0, 0.0)` when nothing was captured.
-    pub fn take(&self) -> (f64, f64) {
-        let mean = |buf: &Mutex<Vec<f64>>| {
-            let mut v = buf.lock().unwrap_or_else(|e| e.into_inner());
-            if v.is_empty() {
-                0.0
-            } else {
-                let m = v.iter().sum::<f64>() / v.len() as f64;
-                v.clear();
-                m
-            }
-        };
-        (mean(&self.entropy), mean(&self.agreement))
-    }
-}
-
-impl Sink for RoutingProbe {
-    fn record(&self, event: &Event) {
-        if event.kind == Kind::Value && event.name.starts_with("core.routing.iter") {
-            if event.name.ends_with(".entropy") {
-                self.entropy
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(event.value);
-            } else if event.name.ends_with(".agreement_delta") {
-                self.agreement
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(event.value);
-            }
-        }
-        if let Some(inner) = &self.inner {
-            inner.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner.flush();
-        }
-    }
-}
 
 /// Configuration of a [`LiveLoop`].
 #[derive(Debug, Clone)]
@@ -134,7 +70,8 @@ pub struct LiveConfig {
     pub train: TrainOptions,
     /// Seed for the fine-tuning epoch streams.
     pub seed: u64,
-    /// Directory for the monitor/incumbent/candidate checkpoints.
+    /// Directory for the incumbent and candidate checkpoints written while
+    /// adapting.
     pub work_dir: PathBuf,
     /// Fractional validation-MAE improvement a candidate must show to be
     /// swapped in (`0.0` = any improvement wins).
@@ -258,42 +195,31 @@ pub struct LiveLoop {
     config: LiveConfig,
     window: RollingWindow,
     detector: DriftDetector,
-    /// Eager-mode twin of the incumbent (routing telemetry only exists on
-    /// the eager path); re-synced after every successful swap.
-    monitor: BikeCap,
     normalizer: Normalizer,
-    probe: Arc<RoutingProbe>,
     metrics: Option<Arc<Metrics>>,
     report: LiveReport,
 }
 
 impl LiveLoop {
-    /// Binds a loop to `entry`. Copies the incumbent into the eager-mode
-    /// monitor via a checkpoint round-trip under `config.work_dir`, and
-    /// installs a [`RoutingProbe`] as the process obs sink, forwarding to
-    /// `trace` (pass the current sink to keep it fed). The probe stays
-    /// installed after the loop finishes; call `bikecap_obs::clear` to
-    /// detach it.
+    /// Binds a loop to `entry` and creates `config.work_dir`. The loop
+    /// monitors whatever model `entry` serves and leaves the process obs
+    /// sink alone.
+    ///
+    /// `_trace` is ignored: routing telemetry is returned by the forward
+    /// pass, so there is no sink to forward to. The parameter stays only
+    /// because `perfbench/src/live.rs` still passes it; drop it when that
+    /// benchmark harness next changes.
     ///
     /// # Errors
     ///
-    /// Returns an error when the work directory or the monitor checkpoint
-    /// round-trip fails.
+    /// Returns an error when the work directory cannot be created.
     pub fn new(
         entry: Arc<ModelEntry>,
         config: LiveConfig,
         metrics: Option<Arc<Metrics>>,
-        trace: Option<Arc<dyn Sink>>,
+        _trace: Option<Arc<dyn Sink>>,
     ) -> std::io::Result<Self> {
         std::fs::create_dir_all(&config.work_dir)?;
-        let monitor_path = config.work_dir.join("monitor.ckpt");
-        entry.current().save_checkpoint(&monitor_path)?;
-        let mut monitor = BikeCap::build_seeded(entry.config().clone(), 0)
-            .map_err(std::io::Error::other)?;
-        monitor
-            .load_checkpoint(&monitor_path)
-            .map_err(std::io::Error::other)?;
-        monitor.set_exec_mode(ExecMode::Eager);
         let cfg = entry.config();
         let window = RollingWindow::new(
             cfg.grid_height,
@@ -302,17 +228,13 @@ impl LiveLoop {
             config.window_capacity,
         );
         let detector = DriftDetector::new(config.thresholds.clone());
-        let probe = Arc::new(RoutingProbe::new(trace));
-        bikecap_obs::install(Arc::clone(&probe) as Arc<dyn Sink>);
         let normalizer = config.normalizer.clone();
         Ok(LiveLoop {
             entry,
             config,
             window,
             detector,
-            monitor,
             normalizer,
-            probe,
             metrics,
             report: LiveReport::default(),
         })
@@ -381,7 +303,7 @@ impl LiveLoop {
         Ok(())
     }
 
-    /// Runs the monitor on one sealed slot and drives the detector.
+    /// Scores the serving model on one sealed slot and drives the detector.
     fn observe_slot(&mut self, slot: usize) -> std::io::Result<()> {
         let _span = bikecap_obs::span("live.slot");
         self.report.slots += 1;
@@ -413,12 +335,13 @@ impl LiveLoop {
         Ok(())
     }
 
-    /// Predicts slot `slot-p+1..=slot` from the history before it and
-    /// returns the monitor's error plus routing telemetry.
-    fn monitor_signals(&mut self, slot: usize) -> Option<SlotSignals> {
+    /// Predicts slot `slot-p+1..=slot` from the history before it with the
+    /// serving model and returns its error plus routing telemetry.
+    fn monitor_signals(&self, slot: usize) -> Option<SlotSignals> {
         let h = self.config.history;
         let p = self.config.horizon;
-        let (gh, gw) = (self.window_height(), self.window_width());
+        let model = self.entry.current();
+        let (gh, gw) = (model.config().grid_height, model.config().grid_width);
         let plane = gh * gw;
         let frame_len = FEATURES * plane;
 
@@ -439,9 +362,9 @@ impl LiveLoop {
         }
         let input = self.normalize_input(&input);
 
-        self.probe.take(); // discard any stale telemetry
-        let pred = self.monitor.predict(&input); // (1, p, H, W), normalized
-        let (entropy, agreement) = self.probe.take();
+        // (1, p, H, W), normalized.
+        let (pred, telemetry) = model.predict_with_telemetry(&input);
+        let (entropy, agreement) = telemetry.means();
 
         // Target: observed bike pick-ups over slots (slot-p+1 ..= slot),
         // normalized with the bike channel's fitted range.
@@ -494,9 +417,10 @@ impl LiveLoop {
         let dataset = ForecastDataset::new(&series, self.config.history, self.config.horizon);
 
         // Checkpoint the incumbent, then fine-tune a copy of it.
+        let incumbent = self.entry.current();
         let incumbent_path = self.config.work_dir.join("incumbent.ckpt");
         let candidate_path = self.config.work_dir.join("candidate.ckpt");
-        self.entry.current().save_checkpoint(&incumbent_path)?;
+        incumbent.save_checkpoint(&incumbent_path)?;
         let mut candidate = match BikeCap::build_seeded(self.entry.config().clone(), 0) {
             Ok(m) => m,
             Err(e) => return Ok(self.roll_back(slot, format!("candidate build failed: {e}"))),
@@ -532,15 +456,6 @@ impl LiveLoop {
             let anchors = dataset.anchors(Split::Val);
             if anchors.is_empty() {
                 return Ok(self.roll_back(slot, "no validation anchors in window".into()));
-            }
-            let mut incumbent = match BikeCap::build_seeded(self.entry.config().clone(), 0) {
-                Ok(m) => m,
-                Err(e) => {
-                    return Ok(self.roll_back(slot, format!("shadow build failed: {e}")))
-                }
-            };
-            if let Err(e) = incumbent.load_checkpoint(&incumbent_path) {
-                return Ok(self.roll_back(slot, format!("shadow reload failed: {e}")));
             }
             (
                 mae_over(&incumbent, &dataset, &anchors, self.config.eval_batch),
@@ -586,12 +501,7 @@ impl LiveLoop {
             m.live_swaps_total.fetch_add(1, Ordering::Relaxed);
             m.degraded.store(false, Ordering::Relaxed);
         }
-        // Re-sync the monitor and normaliser to the new incumbent.
-        if let Err(e) = self.monitor.load_checkpoint(&candidate_path) {
-            return Err(std::io::Error::other(format!(
-                "monitor resync after swap failed: {e}"
-            )));
-        }
+        // The entry now serves the candidate; its normaliser goes with it.
         self.normalizer = dataset.normalizer().clone();
         self.detector.complete(true);
         self.report.swaps += 1;
@@ -627,14 +537,6 @@ impl LiveLoop {
         // channel (h, H, W) block.
         self.normalizer.normalize(input)
     }
-
-    fn window_height(&self) -> usize {
-        self.entry.config().grid_height
-    }
-
-    fn window_width(&self) -> usize {
-        self.entry.config().grid_width
-    }
 }
 
 /// Mean absolute error of `model` over explicit anchors, accumulated in
@@ -661,39 +563,6 @@ fn mae_over(model: &BikeCap, dataset: &ForecastDataset, anchors: &[usize], chunk
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bikecap_obs::MemorySink;
-    use std::borrow::Cow;
-
-    fn event(name: &str, value: f64, kind: Kind) -> Event {
-        Event {
-            ts_us: 0,
-            tid: 1,
-            depth: 0,
-            kind,
-            name: Cow::Owned(name.to_string()),
-            value,
-        }
-    }
-
-    #[test]
-    fn probe_captures_routing_telemetry_and_forwards() {
-        let inner = Arc::new(MemorySink::new(16));
-        let probe = RoutingProbe::new(Some(inner.clone()));
-        probe.record(&event("core.routing.iter0.entropy", 1.0, Kind::Value));
-        probe.record(&event("core.routing.iter1.entropy", 3.0, Kind::Value));
-        probe.record(&event("core.routing.iter1.agreement_delta", 0.5, Kind::Value));
-        probe.record(&event("core.forward", 0.0, Kind::Begin));
-        probe.record(&event("train.loss", 9.0, Kind::Value)); // unrelated
-        let (entropy, agreement) = probe.take();
-        assert_eq!(entropy, 2.0);
-        assert_eq!(agreement, 0.5);
-        // Drained: a second take is neutral.
-        assert_eq!(probe.take(), (0.0, 0.0));
-        // Everything was forwarded to the inner sink.
-        assert_eq!(inner.snapshot().len(), 5);
-        probe.flush();
-    }
-
     #[test]
     fn report_fingerprint_tracks_content() {
         let mut a = LiveReport::default();

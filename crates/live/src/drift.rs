@@ -1,17 +1,18 @@
 //! Drift detection: typed thresholds and a hysteresis/cooldown state
 //! machine over prediction-error and routing-telemetry signals.
 //!
-//! Every sealed slot contributes one [`SlotSignals`] sample: the monitor
+//! Every sealed slot contributes one [`SlotSignals`] sample: the serving
 //! model's rolling prediction error against the live window, plus the two
-//! routing-telemetry statistics the model already emits through obs
-//! (`core.routing.iter*.entropy` and `.agreement_delta`). The detector
-//! freezes a baseline (per-signal mean and standard deviation) over the
-//! first [`DriftThresholds::min_baseline_slots`] samples, then scores each
-//! slot by its worst normalized deviation: distance from the baseline mean
-//! over a margin of `sigmas × std` plus a per-signal floor. A score of
-//! `1.0` means "exactly at threshold". The default warm-up is one full day
-//! of 15-minute slots, so the baseline variance captures the diurnal cycle
-//! instead of mistaking every morning peak for drift.
+//! routing-telemetry statistics its forward pass returns next to the
+//! prediction (`BikeCap::predict_with_telemetry`; obs records the same
+//! values as `core.routing.iter*.entropy` and `.agreement_delta`). The
+//! detector freezes a baseline (per-signal mean and standard deviation)
+//! over the first [`DriftThresholds::min_baseline_slots`] samples, then
+//! scores each slot by its worst normalized deviation: distance from the
+//! baseline mean over a margin of `sigmas × std` plus a per-signal floor.
+//! A score of `1.0` means "exactly at threshold". The default warm-up is
+//! one full day of 15-minute slots, so the baseline variance captures the
+//! diurnal cycle instead of mistaking every morning peak for drift.
 //!
 //! The state machine (documented in DESIGN.md Appendix H):
 //!
@@ -124,12 +125,12 @@ impl DriftState {
 /// One sealed slot's worth of monitoring signals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotSignals {
-    /// Mean absolute prediction error of the monitor model on this slot
+    /// Mean absolute prediction error of the serving model on this slot
     /// (normalized domain).
     pub error: f64,
-    /// Mean routing coupling entropy over the monitor predict.
+    /// Mean routing coupling entropy over the scoring predict's iterations.
     pub entropy: f64,
-    /// Mean routing agreement delta over the monitor predict.
+    /// Mean routing agreement delta over the scoring predict's refinements.
     pub agreement: f64,
 }
 

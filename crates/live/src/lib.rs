@@ -16,22 +16,25 @@
 //!    drop.
 //! 3. **Drift detection** ([`drift`]) — a hysteresis state machine
 //!    (`Stable → Suspect → Drifted → Retraining → RolledBack`) over three
-//!    signals: rolling prediction error against the live window, plus the
-//!    routing-telemetry values the model already emits (coupling entropy,
-//!    agreement delta). Single noisy slots never trigger; sustained regime
-//!    shifts always do, within a configured confirmation window.
+//!    signals: the serving model's rolling prediction error against the
+//!    live window, plus the routing telemetry (coupling entropy, agreement
+//!    delta) its forward pass returns with the prediction. Single noisy
+//!    slots never trigger; sustained regime shifts always do, within a
+//!    configured confirmation window.
 //! 4. **Adaptation** ([`adapt`]) — on confirmed drift the incumbent is
 //!    fine-tuned on the fresh window via `fit_resilient` (inheriting its
 //!    autosave and divergence-rollback machinery), shadow-evaluated against
-//!    the incumbent on a held-out slice, and hot-swapped through the same
-//!    reload path `POST /admin/reload` uses — only if it wins. A losing or
-//!    diverging candidate is rolled back and the refusal recorded; the
-//!    incumbent never stops serving.
+//!    the serving incumbent on a held-out slice, and hot-swapped through
+//!    the same reload path `POST /admin/reload` uses — only if it wins. A
+//!    losing or diverging candidate is rolled back and the refusal
+//!    recorded; the incumbent never stops serving.
 //!
 //! Every stage carries `live.*` failpoints (see `bikecap-faults`; armed
 //! only under the `faultline` feature) and emits `live.*` spans and value
-//! events through `bikecap-obs`. DESIGN.md Appendix H documents the state
-//! machine, default thresholds, and failpoint site names.
+//! events through `bikecap-obs`; the crate never installs an obs sink, so
+//! whatever sink the process set up keeps receiving them. DESIGN.md
+//! Appendix H documents the state machine, default thresholds, and
+//! failpoint site names.
 
 #![deny(missing_docs)]
 

@@ -110,7 +110,6 @@ fn main() {
             f64::from(live_sim.total_minutes()),
         )
         .expect("live loop run");
-    bikecap::obs::clear();
 
     println!(
         "{} records -> {} sealed slots; detector saw:",

@@ -628,7 +628,6 @@ fn cmd_live(args: &Args) -> Result<(), String> {
             f64::from(live_sim.total_minutes()),
         )
         .map_err(|e| e.to_string())?;
-    bikecap::obs::clear();
 
     println!(
         "ingested {} records ({} refused, {} slots sealed)",

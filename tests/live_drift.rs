@@ -48,9 +48,11 @@ fn chaos_seed() -> u64 {
 }
 
 /// Held for a test's whole body: serialises on the process-global fault
-/// plan and obs sink (the live loop installs its routing probe as the
-/// process sink), and replays the obs ring to stderr if the test panics.
+/// plan and obs sink, and replays the obs ring to stderr if the test
+/// panics. The live loop never touches the sink, so `ring` keeps recording
+/// the loop's own `live.*` events while it runs.
 struct ChaosGuard {
+    ring: Arc<bikecap::obs::MemorySink>,
     _dump: bikecap::obs::PanicDump,
     _lock: MutexGuard<'static, ()>,
 }
@@ -66,7 +68,11 @@ fn chaos_lock() -> ChaosGuard {
     let ring = Arc::new(bikecap::obs::MemorySink::new(4096));
     bikecap::obs::install(ring.clone());
     ChaosGuard {
-        _dump: bikecap::obs::PanicDump::new(format!("live-drift seed {}", chaos_seed()), ring),
+        _dump: bikecap::obs::PanicDump::new(
+            format!("live-drift seed {}", chaos_seed()),
+            ring.clone(),
+        ),
+        ring,
         _lock: guard,
     }
 }
@@ -190,9 +196,23 @@ fn drifted_slots(report: &LiveReport) -> Vec<usize> {
 /// new model version is visible on the serving surface via `/healthz`.
 #[test]
 fn weather_shock_drives_hot_swap_visible_in_healthz() {
-    let _guard = chaos_lock();
+    let guard = chaos_lock();
     let (report, entry, registry) = run_live("swap", 1);
     bikecap::obs::clear();
+
+    // The sink installed before the loop started is still the one
+    // recording: the loop's per-slot spans reached it.
+    let slot_events = guard
+        .ring
+        .snapshot()
+        .iter()
+        .filter(|e| e.name == "live.slot")
+        .count();
+    assert!(
+        slot_events > 0,
+        "the live loop must leave the installed obs sink in place; \
+         the ring holds no `live.slot` events"
+    );
 
     let drifted = drifted_slots(&report);
     assert!(

@@ -13,6 +13,9 @@
 //!   and backward.
 //! * **Graph shape.** The lowered graph carries no `Permute`/`Reshape` node
 //!   between the routing transform and the decoder.
+//! * **Telemetry.** `BikeCap::predict_with_telemetry` returns `predict`'s
+//!   exact bits under both executors plus one entropy per iteration and one
+//!   agreement update per refinement, with obs disabled.
 
 use bikecap::autograd::check::assert_grad_check;
 use bikecap::autograd::{ParamStore, Tape, Var};
@@ -20,7 +23,7 @@ use bikecap::check::sweep_configs;
 use bikecap::ir::graph::Op;
 use bikecap::ir::Graph;
 use bikecap::model::capsules::SpatialTemporalRouting;
-use bikecap::model::{BikeCap, BikeCapConfig};
+use bikecap::model::{BikeCap, BikeCapConfig, ExecMode};
 use bikecap::rt::{self, Backend};
 use bikecap::tensor::conv::{conv3d, Conv3dSpec};
 use bikecap::tensor::Tensor;
@@ -295,4 +298,55 @@ fn compiled_graph_has_no_layout_shuffles_inside_routing() {
         }
         assert!(model.compile_fresh_plan(2).is_some(), "plan compiles");
     }
+}
+
+#[test]
+fn predict_with_telemetry_returns_predict_bits_and_per_iteration_statistics() {
+    // Telemetry is a return value, not an obs side channel: nothing in this
+    // test binary installs a sink.
+    assert!(!bikecap::obs::enabled(), "obs must stay disabled for this test");
+    let configs = sweep_configs().into_iter().chain(routing_knob_grid());
+    for (i, (name, config)) in configs.enumerate() {
+        let iters = config.routing_iters;
+        let group = if config.routing_softmax_over_grid {
+            config.grid_height * config.grid_width * config.horizon
+        } else {
+            config.horizon
+        };
+        let mut rng = StdRng::seed_from_u64(300 + i as u64);
+        let input = Tensor::rand_uniform(
+            &[
+                2,
+                config.input_features(),
+                config.history,
+                config.grid_height,
+                config.grid_width,
+            ],
+            0.0,
+            1.0,
+            &mut rng,
+        );
+        let mut model = BikeCap::seeded(config, 400 + i as u64);
+        for mode in [ExecMode::Eager, ExecMode::Compiled] {
+            model.set_exec_mode(mode);
+            let want = model.predict(&input);
+            let (got, telemetry) = model.predict_with_telemetry(&input);
+            assert_eq!(bits(&want), bits(&got), "{name} ({}): prediction bits", mode.name());
+            assert_eq!(telemetry.entropy.len(), iters, "{name}: one entropy per iteration");
+            assert_eq!(
+                telemetry.agreement.len(),
+                iters - 1,
+                "{name}: one agreement update per refinement"
+            );
+            // Zero logits give uniform coupling over the softmax group.
+            let uniform = (group as f64).ln();
+            assert!(
+                (telemetry.entropy[0] - uniform).abs() < 1e-6,
+                "{name}: iteration-0 entropy {} vs ln({group}) = {uniform}",
+                telemetry.entropy[0]
+            );
+            assert!(telemetry.agreement.iter().all(|d| d.is_finite() && *d >= 0.0));
+        }
+    }
+    assert!(!bikecap::obs::enabled());
 }
