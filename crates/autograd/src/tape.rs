@@ -5,7 +5,8 @@ use bikecap_tensor::conv::{
     conv_transpose3d_backward_weight, Conv3dSpec,
 };
 use bikecap_tensor::exec::{
-    plan_routing_agree, plan_routing_couple, routing_agree_into, routing_capsule_dot_into,
+    plan_pyramid_conv, plan_routing_agree, plan_routing_couple, pyramid_conv_dw_into,
+    pyramid_conv_dx_into, pyramid_conv_into, routing_agree_into, routing_capsule_dot_into,
     routing_couple_into, routing_slot_sum_into, routing_spread_into, routing_squash_grad_into,
     RoutingPlan,
 };
@@ -118,6 +119,8 @@ pub enum TraceOp {
     Conv3d(Conv3dSpec),
     /// Transposed 3-D convolution with the given stride/padding.
     ConvTranspose3d(Conv3dSpec),
+    /// Causal pyramid convolution of pyramid size `k` ([`Tape::pyramid_conv`]).
+    PyramidConv(usize),
     /// Fused routing coupling step `squash_n(Σ_s V·K)` ([`Tape::routing_couple`]).
     RoutingCouple,
     /// Fused routing agreement step `L + Σ_c V·Ŝ` ([`Tape::routing_agree`]).
@@ -858,6 +861,59 @@ impl Tape {
         let y5 = self.conv3d(x5, w5, spec);
         let ys = self.value(y5).shape().to_vec();
         self.reshape(y5, &[ys[0], ys[1], ys[3], ys[4]])
+    }
+
+    /// The paper's causal pyramid convolution (Sec. III-C): input
+    /// `x (N, C_in, D, H, W)` with the dense weight parameter
+    /// `w (C_out, C_in, k, 2k-1, 2k-1)`, of which the slice at temporal lag
+    /// `ℓ` is active only on its centred `(2ℓ+1)²` square. Output slot `t`
+    /// sees input slots `t-k+1..=t` and every extent is preserved.
+    ///
+    /// One op with an analytic adjoint: `dX` scatters `dY·w` over the active
+    /// taps and `dW` correlates `dY` with `x` per active tap, leaving the
+    /// masked weight entries' gradient exactly `0.0`. The forward runs
+    /// [`pyramid_conv_into`], the body the compiled executor shares; it
+    /// never consults the forward overlay, so the quantized paths run it
+    /// on the dequantized f32 shadow.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` and `w` form a pyramid convolution of size `k`.
+    pub fn pyramid_conv(&mut self, x: Var, w: Var, k: usize) -> Var {
+        let (xt, wt) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+        let plan = plan_pyramid_conv(xt.shape(), wt.shape())
+            .filter(|p| p.pyramid_size() == k)
+            .unwrap_or_else(|| {
+                panic!(
+                    "pyramid_conv: input {:?} with weight {:?} is not a size-{k} pyramid",
+                    xt.shape(),
+                    wt.shape()
+                )
+            });
+        let mut out = Tensor::zeros(&plan.out_shape());
+        pyramid_conv_into(&plan, xt.as_slice(), wt.as_slice(), out.as_mut_slice());
+        out.debug_assert_finite("pyramid_conv");
+        self.push(
+            out,
+            vec![x.0, w.0],
+            Some(Box::new(move |g, p, _, needs| {
+                let (g, x, w) = (g.as_slice(), p[0].as_slice(), p[1].as_slice());
+                vec![
+                    needs[0].then(|| {
+                        let mut dx = Tensor::zeros(&plan.x_shape());
+                        pyramid_conv_dx_into(&plan, g, w, dx.as_mut_slice());
+                        dx
+                    }),
+                    needs[1].then(|| {
+                        let mut dw = Tensor::zeros(&plan.w_shape());
+                        pyramid_conv_dw_into(&plan, g, x, dw.as_mut_slice());
+                        dw
+                    }),
+                ]
+            })),
+            None,
+            || TraceOp::PyramidConv(k),
+        )
     }
 
     // ------------------------------------------------------------------

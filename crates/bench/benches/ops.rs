@@ -6,6 +6,7 @@ use bikecap_autograd::{ParamStore, Tape};
 use bikecap_core::capsules::{HistoricalCapsules, SpatialTemporalRouting};
 use bikecap_core::{BikeCapConfig, Encoder};
 use bikecap_tensor::conv::{conv3d, Conv3dSpec};
+use bikecap_tensor::exec::{plan_pyramid_conv, pyramid_conv_into};
 use bikecap_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -30,14 +31,15 @@ fn bench_conv3d_dense_vs_pyramid(c: &mut Criterion) {
     c.bench_function("conv3d_dense_3x3x3", |bch| {
         bch.iter(|| black_box(conv3d(&x, &w_dense, Conv3dSpec::padded(1, 1, 1))))
     });
-    // Pyramid k=3 kernel (depth 3, spatial 5x5, masked): the mask costs one
-    // extra elementwise multiply over the weights.
+    // Pyramid k=3 kernel (depth 3, spatial up to 5x5): the active-tap
+    // kernel reads 35 of the dense weight's 75 taps.
     let w_pyr = Tensor::randn(&[4, 4, 3, 5, 5], 0.0, 0.1, &mut rng);
-    let mask = bikecap_nn::PyramidConv3d::pyramid_mask(4, 4, 3);
-    c.bench_function("conv3d_pyramid_k3", |bch| {
+    let plan = plan_pyramid_conv(x.shape(), w_pyr.shape()).expect("pyramid shapes");
+    c.bench_function("pyramid_conv_k3", |bch| {
         bch.iter(|| {
-            let wm = w_pyr.mul(&mask);
-            black_box(conv3d(&x, &wm, Conv3dSpec::padded(0, 2, 2)))
+            let mut out = Tensor::zeros(&plan.out_shape());
+            pyramid_conv_into(&plan, x.as_slice(), w_pyr.as_slice(), out.as_mut_slice());
+            black_box(out)
         })
     });
 }

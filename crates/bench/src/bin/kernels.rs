@@ -1,8 +1,10 @@
 //! Parallel-kernel microbenchmarks: times the `bikecap-rt`-backed hot paths
-//! (matmul, conv3d, conv_transpose3d, the fused routing couple/agree steps,
-//! full `BikeCap::predict` — eager *and* compiled-executor) across thread counts and writes a machine-readable
-//! `BENCH_parallel.json` at the workspace root (op name, shape, threads,
-//! ns/iter, speedup vs 1 thread, heap allocations per iteration).
+//! (matmul, conv3d, conv_transpose3d, the pyramid convolution and its weight
+//! adjoint, the fused routing couple/agree steps, full `BikeCap::predict` —
+//! eager *and* compiled-executor) across thread counts and writes a
+//! machine-readable `BENCH_parallel.json` at the workspace root (op name,
+//! shape, threads, ns/iter, speedup vs 1 thread, heap allocations per
+//! iteration).
 //!
 //! Timings are the **median of N samples** (3 quick / 5 full), each sample
 //! itself averaging `iters` iterations, with the median absolute deviation
@@ -46,7 +48,8 @@ use bikecap_quant::{conv3d_q8, matmul_q8_into, Q8Tensor};
 use bikecap_rt as rt;
 use bikecap_tensor::conv::{conv3d, conv_transpose3d, Conv3dSpec};
 use bikecap_tensor::exec::{
-    plan_routing_agree, plan_routing_couple, routing_agree_into, routing_couple_into,
+    plan_pyramid_conv, plan_routing_agree, plan_routing_couple, pyramid_conv_dw_into,
+    pyramid_conv_into, routing_agree_into, routing_couple_into,
 };
 use bikecap_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -266,6 +269,24 @@ fn main() {
     bench_op(&mut records, "conv3d_q8", "16x4x8x8x8 k3x3x3".into(), 20 * scale, samples, || {
         let (data, shape) = conv3d_q8(x.as_slice(), x.shape(), &wq, Conv3dSpec::padded(1, 1, 1));
         Tensor::from_vec(data, &shape)
+    });
+
+    // The pyramid encoder at the train workload's shape (B=16, 4 -> 4
+    // channels, 8 slots, 8x8 grid, k=3): the active-tap forward and the
+    // weight adjoint every training step runs.
+    let pw = Tensor::randn(&[4, 4, 3, 5, 5], 0.0, 0.1, &mut rng);
+    let pyramid = plan_pyramid_conv(x.shape(), pw.shape()).expect("pyramid shapes");
+    let pyramid_shape = "B16 4->4 h8 8x8 k3";
+    bench_op(&mut records, "pyramid_conv", pyramid_shape.into(), 20 * scale, samples, || {
+        let mut out = Tensor::zeros(&pyramid.out_shape());
+        pyramid_conv_into(&pyramid, x.as_slice(), pw.as_slice(), out.as_mut_slice());
+        out
+    });
+    let pgrad = Tensor::randn(&pyramid.out_shape(), 0.0, 1.0, &mut rng);
+    bench_op(&mut records, "pyramid_conv_dw", pyramid_shape.into(), 20 * scale, samples, || {
+        let mut dw = Tensor::zeros(&pyramid.w_shape());
+        pyramid_conv_dw_into(&pyramid, pgrad.as_slice(), x.as_slice(), dw.as_mut_slice());
+        dw
     });
 
     // One dynamic-routing iteration's fused kernels at the train workload's

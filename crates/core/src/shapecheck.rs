@@ -442,8 +442,9 @@ pub fn check_config_with(
         };
         let out = match config.encoder {
             Encoder::Pyramid => {
-                // Causal pre-padding: k-1 zero slots prepended, no symmetric
-                // time padding; spatial kernel 2k-1 with same-padding k-1.
+                // The pyramid kernel's geometry: a causal depth-k window (as
+                // if k-1 zero slots were prepended, no symmetric time
+                // padding) and a 2k-1 spatial kernel with same-padding k-1.
                 let k = config.pyramid_size;
                 let padded = Extents {
                     time: cur.time + (k - 1),

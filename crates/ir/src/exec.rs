@@ -23,8 +23,9 @@ use bikecap_tensor::conv::{
     to_position_matrix_into,
 };
 use bikecap_tensor::exec::{
-    fused_squash_into, map_into, matmul_into, permute_into, reduce_sum_into, routing_agree_into,
-    routing_couple_into, softmax_trailing_into, transpose2d_into, zip_planned_into,
+    fused_squash_into, map_into, matmul_into, permute_into, pyramid_conv_into, reduce_sum_into,
+    routing_agree_into, routing_couple_into, softmax_trailing_into, transpose2d_into,
+    zip_planned_into,
 };
 
 use crate::error::IrError;
@@ -110,6 +111,8 @@ impl Executor for CpuExecutor {
 /// `bikecap-quant` kernel bodies. The eager tape consults the same set by
 /// the same parameter ids (see `bikecap_autograd::ForwardOverride`), which
 /// preserves the eager ≡ compiled bitwise contract on the quantized path.
+/// Pyramid steps run the f32 body over the store's dequantized shadow,
+/// exactly as the eager tape does.
 #[derive(Debug, Clone)]
 pub struct QuantExecutor {
     set: Arc<QuantSet>,
@@ -227,6 +230,7 @@ fn step_name(step: &Step) -> &'static str {
         Step::Softmax { .. } => "ir.step.softmax",
         Step::Conv { .. } => "ir.step.conv",
         Step::ConvT { .. } => "ir.step.convt",
+        Step::Pyramid { .. } => "ir.step.pyramid",
         Step::Squash { .. } => "ir.step.squash",
         Step::BiasRelu { .. } => "ir.step.bias_relu",
         Step::RoutingCouple { .. } => "ir.step.routing_couple",
@@ -282,6 +286,14 @@ fn record_step_work(step: &Step, store: &ParamStore, arena: &Arena, quant: Optio
             // flat per-batch position count `p` stands in for (d, h, w).
             Work::conv_transpose3d(*n, *c_in, *c_out, (*p, 1, 1), *out_dims, *kernel).record();
         }
+        Step::Pyramid { plan, .. } => Work::pyramid_conv(
+            plan.batch(),
+            plan.c_in(),
+            plan.c_out(),
+            plan.dims(),
+            plan.pyramid_size(),
+        )
+        .record(),
         Step::Squash {
             outer, dk, inner, ..
         } => Work::squash(outer * inner, *dk).record(),
@@ -509,6 +521,13 @@ fn run_step(
             }
             arena.slabs[*pos] = posb;
             arena.slabs[*col] = colb;
+            arena.slabs[*out] = o;
+        }
+        Step::Pyramid { plan, x, w, out } => {
+            // Both backends run the f32 body: on the quantized path the
+            // store holds the dequantized shadow of the pyramid weight.
+            let mut o = mem::take(&mut arena.slabs[*out]);
+            pyramid_conv_into(plan, fetch(arena, store, x), fetch(arena, store, w), &mut o);
             arena.slabs[*out] = o;
         }
         Step::Squash {

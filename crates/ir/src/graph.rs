@@ -59,7 +59,7 @@ pub enum Op {
     /// The designated runtime input (fed fresh on every execution).
     Input,
     /// A tensor captured from the probe pass that never changes between
-    /// executions: routing-logit zeros, pyramid masks, causal-pad zeros.
+    /// executions, such as the routing-logit zeros.
     Const(Tensor),
     /// A parameter leaf, resolved live from the [`bikecap_autograd::ParamStore`]
     /// on every execution so training updates and checkpoint loads keep
@@ -98,6 +98,9 @@ pub enum Op {
     Conv3d(Conv3dSpec),
     /// Transposed 3-D convolution (weight operand is parent 1).
     ConvTranspose3d(Conv3dSpec),
+    /// Causal pyramid convolution of pyramid size `k` (weight operand is
+    /// parent 1, the dense `(C_out, C_in, k, 2k-1, 2k-1)` parameter).
+    PyramidConv(usize),
     /// The capsule squash collapsed to one kernel (see `bikecap-ir::fuse`).
     FusedSquash {
         /// The capsule-dimension axis the squash normalises over.
@@ -246,6 +249,7 @@ fn lower_op(trace: &TraceOp, is_input: bool) -> Result<Op, IrError> {
         TraceOp::SoftmaxTrailing(k) => Op::Softmax(*k),
         TraceOp::Conv3d(spec) => Op::Conv3d(*spec),
         TraceOp::ConvTranspose3d(spec) => Op::ConvTranspose3d(*spec),
+        TraceOp::PyramidConv(k) => Op::PyramidConv(*k),
         TraceOp::RoutingCouple => Op::RoutingCouple,
         TraceOp::RoutingAgree => Op::RoutingAgree,
     })
@@ -379,6 +383,17 @@ fn check_shape(
             let oh = conv_extent(x[3], w[3], spec.stride.1, spec.padding.1, i)?;
             let ow = conv_extent(x[4], w[4], spec.stride.2, spec.padding.2, i)?;
             expect(vec![x[0], w[0], od, oh, ow])
+        }
+        Op::PyramidConv(k) => {
+            let (x, w) = (parent_shape(0)?, parent_shape(1)?);
+            let plan = bikecap_tensor::exec::plan_pyramid_conv(x, w)
+                .filter(|p| p.pyramid_size() == *k)
+                .ok_or_else(|| {
+                    IrError::Shape(format!(
+                        "node {i}: size-{k} pyramid conv of {x:?} with weight {w:?}"
+                    ))
+                })?;
+            expect(plan.out_shape().to_vec())
         }
         Op::RoutingCouple => {
             let (v, k) = (parent_shape(0)?, parent_shape(1)?);

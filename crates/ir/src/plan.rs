@@ -24,10 +24,11 @@
 //! clobber data the next execution still needs. Convolution scratch
 //! (the im2col patch matrix, the transposed weight, the position-matrix
 //! product) flows through the same free list, so consecutive convolutions
-//! share scratch instead of stacking it.
+//! share scratch instead of stacking it. The pyramid convolution reads its
+//! input and dense weight in place and needs no scratch at all.
 //!
 //! Every dispatch decision — broadcast strides, reduction strides, permute
-//! strides, matmul extents, convolution and routing geometry — is baked into the
+//! strides, matmul extents, convolution, pyramid and routing geometry — is baked into the
 //! [`Step`]s here at compile time. Steady-state execution performs **zero
 //! heap allocations**: it only indexes slabs and calls `*_into` kernels.
 
@@ -36,8 +37,8 @@ use std::collections::HashMap;
 use bikecap_autograd::ParamId;
 use bikecap_tensor::conv::Conv3dSpec;
 use bikecap_tensor::exec::{
-    plan_broadcast, plan_permute, plan_reduce_sum, plan_routing_agree, plan_routing_couple,
-    BroadcastPlan, PermutePlan, ReducePlan, RoutingPlan,
+    plan_broadcast, plan_permute, plan_pyramid_conv, plan_reduce_sum, plan_routing_agree,
+    plan_routing_couple, BroadcastPlan, PermutePlan, PyramidPlan, ReducePlan, RoutingPlan,
 };
 use bikecap_tensor::Tensor;
 
@@ -153,6 +154,12 @@ pub(crate) enum Step {
         kernel: (usize, usize, usize),
         spec: Conv3dSpec,
         out_dims: (usize, usize, usize),
+    },
+    Pyramid {
+        plan: PyramidPlan,
+        x: Src,
+        w: Src,
+        out: usize,
     },
     Squash {
         outer: usize,
@@ -603,6 +610,16 @@ impl<'g> Planner<'g> {
                 self.release(col, free_from);
                 step
             }
+            Op::PyramidConv(k) => Step::Pyramid {
+                plan: plan_pyramid_conv(shape_of(0), shape_of(1))
+                    .filter(|p| p.pyramid_size() == *k)
+                    .ok_or_else(|| {
+                        IrError::Shape(format!("node {i}: pyramid conv operands disagree"))
+                    })?,
+                x: self.operand(node.parents[0])?,
+                w: self.operand(node.parents[1])?,
+                out,
+            },
             Op::FusedSquash { axis } => {
                 let p = shape_of(0);
                 Step::Squash {

@@ -10,14 +10,13 @@
 //! recycling schedule.
 //!
 //! Extents marked `derived` are recomputed from dispatch geometry
-//! (matmul `m/k/n`, convolution output dims, reduce/permute and routing
-//! plans) rather
-//! than read back from the slab table, so a corrupted slab length is
-//! caught by comparison instead of being believed. Steps whose kernels
-//! only promise "input and output have the same length" (`map`, `scale`,
-//! `softmax`, …) get *cross-tied* extents: the read extent is frozen from
-//! the output slab's length at view-build time and vice versa, so shrinking
-//! either slab breaks the equality.
+//! (matmul `m/k/n`, convolution output dims, reduce/permute, pyramid and
+//! routing plans) rather than read back from the slab table, so a
+//! corrupted slab length is caught by comparison instead of being
+//! believed. Steps whose kernels only promise "input and output have the
+//! same length" (`map`, `scale`, `softmax`, …) get *cross-tied* extents:
+//! the read extent is frozen from the output slab's length at view-build
+//! time and vice versa, so shrinking either slab breaks the equality.
 
 use bikecap_tensor::conv::conv3d_out_dims;
 
@@ -214,6 +213,11 @@ fn step_view(step: &Step, slabs: &[usize]) -> StepView {
             let n = outer * dk * inner;
             read(src, Some(derived(0, n)));
             ("squash", vec![derived(*out, n)])
+        }
+        Step::Pyramid { plan, x, w, out } => {
+            read(x, Some(derived(0, plan.x_len())));
+            read(w, Some(derived(0, plan.w_len())));
+            ("pyramid", vec![derived(*out, plan.out_len())])
         }
         Step::RoutingCouple { plan, v, k, out } => {
             read(v, Some(derived(0, plan.v_len())));

@@ -190,18 +190,17 @@ impl ConvTranspose3d {
 /// inconsistent with its own `1, 3, …` progression; we use the consistent
 /// `2·lag+1` reading — see DESIGN.md.)
 ///
-/// Realised as a dense `(C_out, C_in, k, 2k-1, 2k-1)` weight multiplied by a
-/// constant binary mask, so masked coefficients stay exactly zero and receive
-/// zero gradient.
+/// The weight is stored dense, `(C_out, C_in, k, 2k-1, 2k-1)`, and run by
+/// [`Tape::pyramid_conv`], which reads only the active taps: coefficients
+/// outside a slice's square are never read and receive exactly zero
+/// gradient.
 ///
-/// Time padding is **causal**: `k-1` zero slots are prepended so output slot
-/// `t` only sees input slots `t-k+1..=t`, matching the flow-propagation
-/// intuition of Fig. 3.
+/// Time is **causal**: output slot `t` only sees input slots `t-k+1..=t`,
+/// matching the flow-propagation intuition of Fig. 3.
 #[derive(Debug, Clone)]
 pub struct PyramidConv3d {
     weight: ParamId,
     bias: ParamId,
-    mask: Tensor,
     pyramid_size: usize,
 }
 
@@ -222,8 +221,7 @@ impl PyramidConv3d {
         assert!(pyramid_size >= 1, "pyramid size must be at least 1");
         let k = pyramid_size;
         let s = 2 * k - 1;
-        let mask = Self::pyramid_mask(out_channels, in_channels, k);
-        // Fan-in counts only unmasked coefficients.
+        // Fan-in counts only active coefficients.
         let active: usize = (0..k).map(|lag| (2 * lag + 1) * (2 * lag + 1)).sum();
         let weight = store.add(
             format!("{name}.weight"),
@@ -241,13 +239,13 @@ impl PyramidConv3d {
         PyramidConv3d {
             weight,
             bias,
-            mask,
             pyramid_size,
         }
     }
 
     /// The binary pyramid mask: kernel depth index `kd` (0 = oldest) keeps a
-    /// centred `(2·lag+1)` square where `lag = k-1-kd`.
+    /// centred `(2·lag+1)` square where `lag = k-1-kd`. The layer never
+    /// applies it; it is the oracle tests compare the active-tap walk with.
     pub fn pyramid_mask(out_channels: usize, in_channels: usize, k: usize) -> Tensor {
         let s = 2 * k - 1;
         let center = (k - 1) as isize;
@@ -285,32 +283,15 @@ impl PyramidConv3d {
     pub fn forward(&self, tape: &mut Tape, x: Var, store: &ParamStore) -> Var {
         let _span = bikecap_obs::span("nn.pyramid");
         let k = self.pyramid_size;
-        let xs = tape.value(x).shape().to_vec();
+        let xs = tape.value(x).shape();
         assert_eq!(xs.len(), 5, "PyramidConv3d expects rank-5 input, got {xs:?}");
-        // Causal time padding: prepend k-1 zero slots.
-        let padded = if k > 1 {
-            let zeros = tape.constant(Tensor::zeros(&[xs[0], xs[1], k - 1, xs[3], xs[4]]));
-            tape.concat(&[zeros, x], 2)
-        } else {
-            x
-        };
         let w = tape.param(store, self.weight);
-        let m = tape.constant(self.mask.clone());
-        let wm = tape.mul(w, m);
-        let spec = Conv3dSpec {
-            stride: (1, 1, 1),
-            padding: (0, k - 1, k - 1),
-        };
         if bikecap_obs::enabled() {
-            // The dense masked kernel really computes all (k, 2k-1, 2k-1)
-            // taps — the work model describes the implementation, not the
-            // pyramid's active support.
-            let (batch, c_in, dims) = unpack5(tape.value(padded).shape());
-            let (c_out, _, kernel) = unpack5(tape.value(wm).shape());
-            let out = bikecap_tensor::conv::conv3d_out_dims(dims, kernel, spec);
-            bikecap_obs::Work::conv3d(batch, c_in, c_out, out, kernel).record();
+            let (batch, c_in, dims) = unpack5(tape.value(x).shape());
+            let c_out = tape.value(w).shape()[0];
+            bikecap_obs::Work::pyramid_conv(batch, c_in, c_out, dims, k).record();
         }
-        let y = tape.conv3d(padded, wm, spec);
+        let y = tape.pyramid_conv(x, w, k);
         let b = tape.param(store, self.bias);
         tape.add(y, b)
     }

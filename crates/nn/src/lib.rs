@@ -10,9 +10,10 @@
 //!
 //! * [`Dense`] — fully connected.
 //! * [`Conv2d`], [`Conv3d`], [`ConvTranspose3d`] — convolutions with bias.
-//! * [`PyramidConv3d`] — the paper's pyramid convolution (Sec. III-C): a 3-D
-//!   kernel whose spatial support widens with temporal lag, realised as a
-//!   weight mask.
+//! * [`PyramidConv3d`] — the paper's pyramid convolution (Sec. III-C): a
+//!   causal 3-D kernel whose spatial support widens with temporal lag, run
+//!   by `Tape::pyramid_conv`, which reads only the active taps of the dense
+//!   weight.
 //! * [`LstmCell`], [`ConvLstmCell`] — recurrent cells (LSTM / convLSTM
 //!   baselines).
 //! * [`StLstmCell`] — PredRNN's spatio-temporal LSTM cell.

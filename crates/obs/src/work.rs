@@ -129,6 +129,40 @@ impl Work {
         }
     }
 
+    /// Causal pyramid convolution (paper Sec. III-C, DESIGN.md Appendix L):
+    /// input `(batch, c_in, d, h, w)`, pyramid size `k`, output
+    /// `(batch, c_out, d, h, w)`.
+    ///
+    /// The kernel multiply-adds only the active taps inside the grid and
+    /// the causal window: the slice at lag `ℓ` contributes
+    /// `(d-ℓ)·Σ_{|a|≤ℓ}(h-|a|)·Σ_{|b|≤ℓ}(w-|b|)` terms per channel pair, at
+    /// 2 flops each. Traffic is the input and the active weights read once
+    /// and the output written once; there is no patch matrix.
+    pub fn pyramid_conv(
+        batch: usize,
+        c_in: usize,
+        c_out: usize,
+        dims: (usize, usize, usize),
+        k: usize,
+    ) -> Work {
+        let (d, h, w) = dims;
+        let span = |extent: usize, lag: usize| -> f64 {
+            (0..=2 * lag)
+                .map(|a| extent.saturating_sub(a.abs_diff(lag)) as f64)
+                .sum()
+        };
+        let terms: f64 = (0..k)
+            .map(|lag| d.saturating_sub(lag) as f64 * span(h, lag) * span(w, lag))
+            .sum();
+        let active: usize = (0..k).map(|lag| (2 * lag + 1) * (2 * lag + 1)).sum();
+        let (b, ci, co) = (batch as f64, c_in as f64, c_out as f64);
+        let volume = (d * h * w) as f64;
+        Work {
+            flops: 2.0 * b * ci * co * terms,
+            bytes: F32 * (b * ci * volume + ci * co * active as f64 + b * co * volume),
+        }
+    }
+
     /// Numerically stable softmax over `groups` rows of `len` elements: per
     /// element one max-scan compare, a subtract, an exp (counted as one
     /// flop), a sum add, and a divide — `5n` flops; two read/write passes
@@ -258,6 +292,22 @@ mod tests {
         let patch = 4.0 * 27.0;
         assert_eq!(w.flops, 2.0 * positions * 8.0 * patch + positions * patch);
         assert!(w.bytes > 4.0 * 2.0 * positions * patch);
+    }
+
+    #[test]
+    fn pyramid_conv_counts_active_in_bounds_taps_only() {
+        // k=1 is a 1x1 conv: every tap is in bounds.
+        let one = Work::pyramid_conv(2, 3, 5, (4, 6, 7), 1);
+        assert_eq!(one.flops, 2.0 * 2.0 * 3.0 * 5.0 * 168.0);
+        // k=3 on an 8x8 grid with 8 slots, against the dense masked conv3d
+        // over the padded input: far fewer flops and no patch-matrix traffic.
+        let pyr = Work::pyramid_conv(16, 4, 4, (8, 8, 8), 3);
+        let lag1 = 7.0 * (7.0 + 8.0 + 7.0) * (7.0 + 8.0 + 7.0);
+        let lag2 = 6.0 * (6.0 + 7.0 + 8.0 + 7.0 + 6.0) * (6.0 + 7.0 + 8.0 + 7.0 + 6.0);
+        assert_eq!(pyr.flops, 2.0 * 16.0 * 16.0 * (512.0 + lag1 + lag2));
+        let dense = Work::conv3d(16, 4, 4, (8, 8, 8), (3, 5, 5));
+        assert!(pyr.flops < 0.5 * dense.flops);
+        assert_eq!(pyr.bytes, 4.0 * (2.0 * 16.0 * 4.0 * 512.0 + 16.0 * 35.0));
     }
 
     #[test]

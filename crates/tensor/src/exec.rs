@@ -1001,6 +1001,361 @@ pub fn routing_squash_grad_into(
     });
 }
 
+// ---------------------------------------------------------------------
+// Pyramid convolution
+// ---------------------------------------------------------------------
+
+/// Pre-resolved geometry of the paper's causal pyramid convolution
+/// (Sec. III-C):
+///
+/// * `x` — input `(B, C_in, D, H, W)`;
+/// * `w` — the dense weight parameter `(C_out, C_in, k, 2k-1, 2k-1)`, of
+///   which kernel slice `kd` (lag `ℓ = k-1-kd`, so `kd = k-1` is the newest
+///   slot) is active only on its centred `(2ℓ+1)²` square;
+/// * output — `(B, C_out, D, H, W)`, every extent preserved.
+///
+/// Output slot `t` at lag `ℓ` reads input slot `t-ℓ`, and tap `(kh, kw)`
+/// reads the cell shifted by `(kh-(k-1), kw-(k-1))`. The kernels below walk
+/// only the active taps over their in-bounds windows: causal time bounds
+/// become skipped slots and grid borders become clipped row/column ranges,
+/// so nothing is padded, masked or unrolled. DESIGN.md Appendix L gives the
+/// walk, the accumulation order and the adjoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PyramidPlan {
+    batch: usize,
+    c_in: usize,
+    c_out: usize,
+    k: usize,
+    depth: usize,
+    height: usize,
+    width: usize,
+}
+
+/// One active tap's in-bounds window over an `(D, H, W)` plane: `slots`
+/// time slots of `rows` grid rows of `len` contiguous columns. The output
+/// row `(s, r)` starts at `out0 + s·H·W + r·W` and the input row it reads
+/// at `x0` plus the same offset — input and output planes share strides.
+#[derive(Debug, Clone, Copy)]
+struct TapWindow {
+    /// Offset of the tap inside one `(k, 2k-1, 2k-1)` kernel block.
+    tap: usize,
+    slots: usize,
+    rows: usize,
+    len: usize,
+    out0: usize,
+    x0: usize,
+}
+
+impl TapWindow {
+    /// Calls `f(out_offset, x_offset)` at the start of every window row,
+    /// slot-major then row-major.
+    fn for_each_row(&self, plane: usize, width: usize, mut f: impl FnMut(usize, usize)) {
+        if self.len == 0 {
+            return;
+        }
+        for s in 0..self.slots {
+            for r in 0..self.rows {
+                let d = s * plane + r * width;
+                f(self.out0 + d, self.x0 + d);
+            }
+        }
+    }
+}
+
+impl PyramidPlan {
+    /// Batch size `B`.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Input channels `C_in`.
+    pub fn c_in(&self) -> usize {
+        self.c_in
+    }
+
+    /// Output channels `C_out`.
+    pub fn c_out(&self) -> usize {
+        self.c_out
+    }
+
+    /// Pyramid size `k` (kernel depth).
+    pub fn pyramid_size(&self) -> usize {
+        self.k
+    }
+
+    /// The preserved `(D, H, W)` extents.
+    pub fn dims(&self) -> (usize, usize, usize) {
+        (self.depth, self.height, self.width)
+    }
+
+    /// Active taps per `(C_out, C_in)` pair: `Σ_ℓ (2ℓ+1)²`.
+    fn active_taps(&self) -> usize {
+        (0..self.k).map(|lag| (2 * lag + 1) * (2 * lag + 1)).sum()
+    }
+
+    /// The input's shape, `(B, C_in, D, H, W)`.
+    pub fn x_shape(&self) -> [usize; 5] {
+        [self.batch, self.c_in, self.depth, self.height, self.width]
+    }
+
+    /// The dense weight's shape, `(C_out, C_in, k, 2k-1, 2k-1)`.
+    pub fn w_shape(&self) -> [usize; 5] {
+        let s = 2 * self.k - 1;
+        [self.c_out, self.c_in, self.k, s, s]
+    }
+
+    /// The output's shape, `(B, C_out, D, H, W)`.
+    pub fn out_shape(&self) -> [usize; 5] {
+        [self.batch, self.c_out, self.depth, self.height, self.width]
+    }
+
+    /// Scalars in the input.
+    pub fn x_len(&self) -> usize {
+        num_elements(&self.x_shape())
+    }
+
+    /// Scalars in the weight.
+    pub fn w_len(&self) -> usize {
+        num_elements(&self.w_shape())
+    }
+
+    /// Scalars in the output.
+    pub fn out_len(&self) -> usize {
+        num_elements(&self.out_shape())
+    }
+
+    /// Scalars in one `(D, H, W)` plane.
+    fn volume(&self) -> usize {
+        self.depth * self.height * self.width
+    }
+
+    /// Scalars in one `(k, 2k-1, 2k-1)` kernel block.
+    fn block(&self) -> usize {
+        let s = 2 * self.k - 1;
+        self.k * s * s
+    }
+
+    /// Rows of the `rt` decomposition for a `per_row`-scalar work item.
+    fn min_rows(&self, per_row: usize) -> usize {
+        (PAR_MIN_WORK / per_row.max(1)).max(1)
+    }
+
+    /// The active taps in ascending `(kd, kh, kw)` order — the column order
+    /// of the dense kernel block — each with its clipped window.
+    fn windows(&self) -> impl Iterator<Item = TapWindow> + '_ {
+        let (p, s) = (self.k - 1, 2 * self.k - 1);
+        let (d, h, w) = (self.depth, self.height, self.width);
+        (0..self.k).flat_map(move |kd| {
+            let lag = p - kd;
+            (p - lag..=p + lag).flat_map(move |kh| {
+                (p - lag..=p + lag).map(move |kw| {
+                    // Output row i reads input row i + kh - p: keep i with
+                    // 0 <= i + kh - p < h (likewise for columns).
+                    let i0 = p.saturating_sub(kh);
+                    let i1 = (h + p).saturating_sub(kh).min(h);
+                    let j0 = p.saturating_sub(kw);
+                    let j1 = (w + p).saturating_sub(kw).min(w);
+                    let (rows, len) = (i1.saturating_sub(i0), j1.saturating_sub(j0));
+                    // Full-width rows of one slot are one contiguous run.
+                    let (rows, len) = if len == w { (1, rows * w) } else { (rows, len) };
+                    TapWindow {
+                        tap: (kd * s + kh) * s + kw,
+                        slots: d.saturating_sub(lag),
+                        rows,
+                        len,
+                        out0: (lag * h + i0) * w + j0,
+                        x0: (i0 + kh - p) * w + j0 + kw - p,
+                    }
+                })
+            })
+        })
+    }
+}
+
+/// Plans the pyramid convolution of `x (B, C_in, D, H, W)` with the dense
+/// weight `w (C_out, C_in, k, 2k-1, 2k-1)`; `None` when the shapes disagree.
+pub fn plan_pyramid_conv(x: &[usize], w: &[usize]) -> Option<PyramidPlan> {
+    let &[batch, c_in, depth, height, width] = x else {
+        return None;
+    };
+    let &[c_out, wc_in, k, kh, kw] = w else {
+        return None;
+    };
+    if wc_in != c_in || k == 0 || kh != 2 * k - 1 || kw != kh {
+        return None;
+    }
+    Some(PyramidPlan {
+        batch,
+        c_in,
+        c_out,
+        k,
+        depth,
+        height,
+        width,
+    })
+}
+
+/// The pyramid convolution forward into `out (B, C_out, D, H, W)`. Fully
+/// overwrites `out`.
+///
+/// Each `(b, c_out)` output plane has one owner on the `bikecap-rt` pool.
+/// Every element accumulates from `0.0` over the active in-bounds taps in
+/// ascending `(c_in, kd, kh, kw)` order — the order the im2col GEMM of the
+/// zero-pad + weight-mask + dense conv3d composition visits its patch
+/// columns. That composition also adds `x·0` for every masked tap (and
+/// skips its zero padding); a zero product never changes an accumulator
+/// that starts at `+0.0`, so for finite operands the result is bitwise
+/// identical to it, and to itself at any thread count.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the plan.
+pub fn pyramid_conv_into(plan: &PyramidPlan, x: &[f32], w: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), plan.x_len(), "pyramid_conv_into: x length mismatch");
+    assert_eq!(w.len(), plan.w_len(), "pyramid_conv_into: w length mismatch");
+    assert_eq!(out.len(), plan.out_len(), "pyramid_conv_into: out length mismatch");
+    let (vol, block, c_in, c_out) = (plan.volume(), plan.block(), plan.c_in, plan.c_out);
+    if vol == 0 {
+        return;
+    }
+    let (plane, width) = (plan.height * plan.width, plan.width);
+    let min_planes = plan.min_rows(c_in * plan.active_taps() * vol);
+    bikecap_rt::parallel_items_mut(out, vol, min_planes, |p0, planes| {
+        for (d, oplane) in planes.chunks_mut(vol).enumerate() {
+            let (b, co) = ((p0 + d) / c_out, (p0 + d) % c_out);
+            oplane.fill(0.0);
+            for ci in 0..c_in {
+                let xplane = &x[(b * c_in + ci) * vol..(b * c_in + ci + 1) * vol];
+                let wblock = &w[(co * c_in + ci) * block..(co * c_in + ci + 1) * block];
+                for win in plan.windows() {
+                    let wv = wblock[win.tap];
+                    win.for_each_row(plane, width, |oo, xo| {
+                        let orow = &mut oplane[oo..oo + win.len];
+                        for (o, &xv) in orow.iter_mut().zip(&xplane[xo..xo + win.len]) {
+                            *o += xv * wv;
+                        }
+                    });
+                }
+            }
+        }
+    });
+}
+
+/// The input adjoint `dX` of [`pyramid_conv_into`] from the output gradient
+/// `grad (B, C_out, D, H, W)` into `out (B, C_in, D, H, W)`. Fully
+/// overwrites `out`.
+///
+/// Each `(b, c_in)` input plane has one owner; it scatters `grad·w` over
+/// the same tap windows in fixed `(c_out, kd, kh, kw, t, i, j)` order, so
+/// serial and parallel execution are bitwise identical.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the plan.
+pub fn pyramid_conv_dx_into(plan: &PyramidPlan, grad: &[f32], w: &[f32], out: &mut [f32]) {
+    assert_eq!(grad.len(), plan.out_len(), "pyramid_conv_dx_into: grad length mismatch");
+    assert_eq!(w.len(), plan.w_len(), "pyramid_conv_dx_into: w length mismatch");
+    assert_eq!(out.len(), plan.x_len(), "pyramid_conv_dx_into: out length mismatch");
+    let (vol, block, c_in, c_out) = (plan.volume(), plan.block(), plan.c_in, plan.c_out);
+    if vol == 0 {
+        return;
+    }
+    let (plane, width) = (plan.height * plan.width, plan.width);
+    let min_planes = plan.min_rows(c_out * plan.active_taps() * vol);
+    bikecap_rt::parallel_items_mut(out, vol, min_planes, |p0, planes| {
+        for (d, xplane) in planes.chunks_mut(vol).enumerate() {
+            let (b, ci) = ((p0 + d) / c_in, (p0 + d) % c_in);
+            xplane.fill(0.0);
+            for co in 0..c_out {
+                let gplane = &grad[(b * c_out + co) * vol..(b * c_out + co + 1) * vol];
+                let wblock = &w[(co * c_in + ci) * block..(co * c_in + ci + 1) * block];
+                for win in plan.windows() {
+                    let wv = wblock[win.tap];
+                    win.for_each_row(plane, width, |oo, xo| {
+                        let xrow = &mut xplane[xo..xo + win.len];
+                        for (dx, &g) in xrow.iter_mut().zip(&gplane[oo..oo + win.len]) {
+                            *dx += g * wv;
+                        }
+                    });
+                }
+            }
+        }
+    });
+}
+
+/// Lanes of the weight-adjoint dot products (see [`dot_row`]).
+const DW_LANES: usize = 4;
+
+/// `Σ_j g[j]·x[j]` over one window row, added into `DW_LANES` partial sums
+/// (full 4-wide steps) and a scalar `tail` (the leftover columns):
+/// independent chains, kept in registers across rows, instead of one serial
+/// dependency. The caller folds them in a fixed order.
+#[inline(always)]
+fn dot_row(
+    mut lanes: [f32; DW_LANES],
+    mut tail: f32,
+    g: &[f32],
+    x: &[f32],
+) -> ([f32; DW_LANES], f32) {
+    let mut gs = g.chunks_exact(DW_LANES);
+    let mut xs = x.chunks_exact(DW_LANES);
+    for (a, b) in (&mut gs).zip(&mut xs) {
+        for q in 0..DW_LANES {
+            lanes[q] += a[q] * b[q];
+        }
+    }
+    for (&a, &b) in gs.remainder().iter().zip(xs.remainder()) {
+        tail += a * b;
+    }
+    (lanes, tail)
+}
+
+/// The weight adjoint `dW` of [`pyramid_conv_into`] from the output
+/// gradient `grad (B, C_out, D, H, W)` and the input `x` into the dense
+/// `out (C_out, C_in, k, 2k-1, 2k-1)`. Fully overwrites `out`.
+///
+/// Each `(c_out, c_in)` kernel block has one owner. An active tap's
+/// gradient `Σ_{b,t,i,j} grad·x` runs over its window in `(b, t, i, j)`
+/// order into [`DW_LANES`] lane sums and one tail sum (see [`dot_row`]),
+/// folded as `tail + lane 0 + … + lane 3`, so the result does not depend on
+/// the thread count. Masked entries stay exactly `0.0`: nothing writes
+/// them.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the plan.
+pub fn pyramid_conv_dw_into(plan: &PyramidPlan, grad: &[f32], x: &[f32], out: &mut [f32]) {
+    assert_eq!(grad.len(), plan.out_len(), "pyramid_conv_dw_into: grad length mismatch");
+    assert_eq!(x.len(), plan.x_len(), "pyramid_conv_dw_into: x length mismatch");
+    assert_eq!(out.len(), plan.w_len(), "pyramid_conv_dw_into: out length mismatch");
+    let (vol, block, c_in, c_out) = (plan.volume(), plan.block(), plan.c_in, plan.c_out);
+    let (plane, width) = (plan.height * plan.width, plan.width);
+    let min_blocks = plan.min_rows(plan.batch * plan.active_taps() * vol);
+    bikecap_rt::parallel_items_mut(out, block, min_blocks, |r0, blocks| {
+        for (d, wblock) in blocks.chunks_mut(block).enumerate() {
+            let (co, ci) = ((r0 + d) / c_in, (r0 + d) % c_in);
+            wblock.fill(0.0);
+            for win in plan.windows() {
+                let mut lanes = [0.0f32; DW_LANES];
+                let mut tail = 0.0f32;
+                for b in 0..plan.batch {
+                    let gplane = &grad[(b * c_out + co) * vol..(b * c_out + co + 1) * vol];
+                    let xplane = &x[(b * c_in + ci) * vol..(b * c_in + ci + 1) * vol];
+                    win.for_each_row(plane, width, |oo, xo| {
+                        let grow = &gplane[oo..oo + win.len];
+                        (lanes, tail) = dot_row(lanes, tail, grow, &xplane[xo..xo + win.len]);
+                    });
+                }
+                let mut total = tail;
+                for l in lanes {
+                    total += l;
+                }
+                wblock[win.tap] = total;
+            }
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

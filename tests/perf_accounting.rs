@@ -63,10 +63,12 @@ fn compiled_steps_stamp_the_work_model() {
     let events = traced_predict(ExecMode::Compiled);
     let rows = obs::roofline_table(&events, &Roofline::default());
     // The BikeCAP plan has no standalone Matmul step — its matmuls are fused
-    // inside Conv/ConvT — so the conv family plus routing math is the full set.
+    // inside Conv/ConvT — so the conv family (the pyramid encoder included)
+    // plus routing math is the full set.
     for want in [
         "ir.step.conv",
         "ir.step.convt",
+        "ir.step.pyramid",
         "ir.step.softmax",
         "ir.step.squash",
         "ir.step.routing_couple",
@@ -88,12 +90,13 @@ fn eager_and_compiled_agree_on_conv_work() {
     let compiled = traced_predict(ExecMode::Compiled);
 
     // Eager stamps conv work inside nn.conv3d/nn.pyramid/nn.deconv3d and the
-    // routing transform span; compiled stamps it on ir.step.conv / ir.step.convt.
-    // The decompositions differ (the pyramid layer models its dense masked
-    // kernel on top of the inner conv, and the routing transform is modelled
-    // as a conv on the eager side), so the totals agree to a small factor
-    // rather than bitwise — the ratio window below catches a path that stops
-    // stamping or double-counts wholesale.
+    // routing transform span; compiled stamps it on ir.step.conv /
+    // ir.step.convt / ir.step.pyramid. Both sides model the pyramid encoder
+    // with the same active-tap Work::pyramid_conv, but the decompositions
+    // still differ (the routing transform is modelled as a conv on the eager
+    // side), so the totals agree to a small factor rather than bitwise — the
+    // ratio window below catches a path that stops stamping or double-counts
+    // wholesale.
     let eager_flops = attributed(&eager, "perf.flops", |_| true);
     let compiled_flops = attributed(&compiled, "perf.flops", |_| true);
     assert!(eager_flops > 0.0, "eager path stamped no flops");
@@ -105,7 +108,7 @@ fn eager_and_compiled_agree_on_conv_work() {
         s.starts_with("nn.conv3d") || s.starts_with("nn.pyramid") || s.starts_with("nn.deconv3d")
     });
     let compiled_conv = attributed(&compiled, "perf.flops", |s| {
-        s == "ir.step.conv" || s == "ir.step.convt"
+        s == "ir.step.conv" || s == "ir.step.convt" || s == "ir.step.pyramid"
     });
     assert!(eager_conv > 0.0 && compiled_conv > 0.0, "conv work missing");
     let ratio = eager_conv / compiled_conv;
