@@ -1,7 +1,9 @@
 //! Parallel-kernel microbenchmarks: times the `bikecap-rt`-backed hot paths
-//! (matmul, conv3d, conv_transpose3d, the pyramid convolution and its weight
-//! adjoint, the fused routing couple/agree steps, full `BikeCap::predict` —
-//! eager *and* compiled-executor) across thread counts and writes a
+//! (matmul, conv3d, conv_transpose3d, the fused conv kernels at the routing
+//! transform's and decoder deconvolution's shapes with their adjoints, the
+//! pyramid convolution and its weight adjoint, the fused routing
+//! couple/agree steps, full `BikeCap::predict` — eager *and*
+//! compiled-executor) across thread counts and writes a
 //! machine-readable `BENCH_parallel.json` at the workspace root (op name,
 //! shape, threads, ns/iter, speedup vs 1 thread, heap allocations per
 //! iteration).
@@ -46,7 +48,10 @@ use bikecap_bench::BenchArgs;
 use bikecap_core::{BikeCap, BikeCapConfig, ExecMode, VerifyMode};
 use bikecap_quant::{conv3d_q8, matmul_q8_into, Q8Tensor};
 use bikecap_rt as rt;
-use bikecap_tensor::conv::{conv3d, conv_transpose3d, Conv3dSpec};
+use bikecap_tensor::conv::{
+    conv3d, conv3d_backward_input, conv3d_backward_weight, conv_transpose3d,
+    conv_transpose3d_backward_input, conv_transpose3d_backward_weight, Conv3dSpec,
+};
 use bikecap_tensor::exec::{
     plan_pyramid_conv, plan_routing_agree, plan_routing_couple, pyramid_conv_dw_into,
     pyramid_conv_into, routing_agree_into, routing_couple_into,
@@ -270,6 +275,50 @@ fn main() {
         let (data, shape) = conv3d_q8(x.as_slice(), x.shape(), &wq, Conv3dSpec::padded(1, 1, 1));
         Tensor::from_vec(data, &shape)
     });
+
+    // The fused conv kernels at the model's own shapes: the routing
+    // transform (the depth-strided conv making the prediction capsules) and
+    // the decoder's first deconvolution. Forward at the serving batch (1)
+    // and the train batch (16); dX and dW at the live fine-tune batch (4)
+    // and the train batch.
+    let transform_spec = Conv3dSpec {
+        stride: (4, 1, 1),
+        padding: (0, 1, 1),
+    };
+    let tw = Tensor::randn(&[16, 1, 4, 3, 3], 0.0, 0.3, &mut rng);
+    let deconv_spec = Conv3dSpec::padded(1, 1, 1);
+    let dw1 = Tensor::randn(&[4, 8, 3, 3, 3], 0.0, 0.2, &mut rng);
+    for batch in [1usize, 4, 16] {
+        let iters = (64 / batch as u32).max(4) * scale;
+        let tx = Tensor::randn(&[batch, 1, 32, 8, 8], 0.0, 1.0, &mut rng);
+        let tg = Tensor::randn(&[batch, 16, 8, 8, 8], 0.0, 1.0, &mut rng);
+        let dx = Tensor::randn(&[batch, 4, 4, 8, 8], 0.0, 1.0, &mut rng);
+        let dg = Tensor::randn(&[batch, 8, 4, 8, 8], 0.0, 1.0, &mut rng);
+        let transform = format!("B{batch} 1->16 32x8x8 k4x3x3 s4");
+        let deconv = format!("B{batch} 4->8 4x8x8 k3");
+        if batch != 4 {
+            bench_op(&mut records, "routing_transform", transform.clone(), iters, samples, || {
+                conv3d(&tx, &tw, transform_spec)
+            });
+            bench_op(&mut records, "decoder_deconv", deconv.clone(), iters, samples, || {
+                conv_transpose3d(&dx, &dw1, deconv_spec)
+            });
+        }
+        if batch != 1 {
+            bench_op(&mut records, "routing_transform_dx", transform.clone(), iters, samples, || {
+                conv3d_backward_input(&tg, &tw, (32, 8, 8), transform_spec)
+            });
+            bench_op(&mut records, "routing_transform_dw", transform, iters, samples, || {
+                conv3d_backward_weight(&tg, &tx, (4, 3, 3), transform_spec)
+            });
+            bench_op(&mut records, "decoder_deconv_dx", deconv.clone(), iters, samples, || {
+                conv_transpose3d_backward_input(&dg, &dw1, deconv_spec)
+            });
+            bench_op(&mut records, "decoder_deconv_dw", deconv, iters, samples, || {
+                conv_transpose3d_backward_weight(&dg, &dx, (3, 3, 3), deconv_spec)
+            });
+        }
+    }
 
     // The pyramid encoder at the train workload's shape (B=16, 4 -> 4
     // channels, 8 slots, 8x8 grid, k=3): the active-tap forward and the

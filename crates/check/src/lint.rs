@@ -488,7 +488,7 @@ fn token_findings(file: &str, kind: CrateKind, tokens: &[Token]) -> Vec<Finding>
                     Some(TokenKind::Punct('[')) | Some(TokenKind::Punct('!'))
                 ) =>
             {
-                let (attr_idents, next) = consume_attribute(&tokens, i);
+                let (attr_idents, next) = consume_attribute(tokens, i);
                 if is_test_attribute(&attr_idents) {
                     skip_test_item = true;
                 }
@@ -500,7 +500,7 @@ fn token_findings(file: &str, kind: CrateKind, tokens: &[Token]) -> Vec<Finding>
                     _ => String::new(),
                 };
                 if skip_test_item {
-                    i = skip_item(&tokens, i);
+                    i = skip_item(tokens, i);
                     skip_test_item = false;
                     doc_buf.clear();
                     pub_flag = false;
@@ -559,7 +559,7 @@ fn token_findings(file: &str, kind: CrateKind, tokens: &[Token]) -> Vec<Finding>
                     _ => "",
                 };
                 if skip_test_item || name == "tests" {
-                    i = skip_item(&tokens, i);
+                    i = skip_item(tokens, i);
                     skip_test_item = false;
                 } else {
                     i += 1;
@@ -569,7 +569,7 @@ fn token_findings(file: &str, kind: CrateKind, tokens: &[Token]) -> Vec<Finding>
             }
             _ if skip_test_item => {
                 // `#[cfg(test)]` on a non-fn, non-mod item (use, impl, ...).
-                i = skip_item(&tokens, i);
+                i = skip_item(tokens, i);
                 skip_test_item = false;
                 doc_buf.clear();
                 pub_flag = false;
@@ -658,7 +658,7 @@ fn token_findings(file: &str, kind: CrateKind, tokens: &[Token]) -> Vec<Finding>
             TokenKind::Ident(w)
                 if w == "thread"
                     && !matches!(kind, CrateKind::Rt | CrateKind::Serve | CrateKind::Other)
-                    && is_path_call(&tokens, i, "spawn") =>
+                    && is_path_call(tokens, i, "spawn") =>
             {
                 let func = stack.last().map(|f| f.name.clone());
                 findings.push(Finding {
@@ -698,7 +698,7 @@ fn token_findings(file: &str, kind: CrateKind, tokens: &[Token]) -> Vec<Finding>
             TokenKind::Ident(w)
                 if w == "File"
                     && matches!(kind, CrateKind::Nn | CrateKind::Core)
-                    && is_path_call(&tokens, i, "create") =>
+                    && is_path_call(tokens, i, "create") =>
             {
                 let func = stack.last().map(|f| f.name.clone());
                 findings.push(Finding {
@@ -718,7 +718,7 @@ fn token_findings(file: &str, kind: CrateKind, tokens: &[Token]) -> Vec<Finding>
             TokenKind::Ident(w)
                 if hot
                     && kind == CrateKind::Ir
-                    && ((matches!(w.as_str(), "Vec" | "Box") && is_path_call(&tokens, i, "new"))
+                    && ((matches!(w.as_str(), "Vec" | "Box") && is_path_call(tokens, i, "new"))
                         || (ALLOC_METHODS.contains(&w.as_str())
                             && matches!(
                                 tokens.get(i + 1).map(|t| &t.kind),

@@ -135,7 +135,7 @@ impl Scenario {
             self.sensor_dropout,
             Some(d) if d.drop_every > 0
                 && in_window(t_min, d.start_min, d.end_min)
-                && record_id % d.drop_every == 0
+                && record_id.is_multiple_of(d.drop_every)
         )
     }
 }

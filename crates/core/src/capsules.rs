@@ -296,7 +296,8 @@ impl SpatialTemporalRouting {
             if bikecap_obs::enabled() {
                 // The routing transform *is* this strided conv; model it as
                 // such (one shared weight read, S output slots).
-                bikecap_obs::Work::conv3d(b, 1, self.horizon * self.out_dim, (s, gh, gw), (n, 3, 3))
+                let c_out = self.horizon * self.out_dim;
+                bikecap_obs::Work::conv3d(b, 1, c_out, (s * n, gh, gw), (s, gh, gw), (n, 3, 3))
                     .record();
             }
             tape.conv3d(flat, w, spec) // (B, p*n_out, S, H, W)
@@ -318,6 +319,7 @@ impl SpatialTemporalRouting {
                         b,
                         1,
                         self.horizon * self.out_dim,
+                        (n, gh, gw),
                         (1, gh, gw),
                         (n, 3, 3),
                     )

@@ -18,14 +18,10 @@ use std::sync::Arc;
 
 use bikecap_autograd::ParamStore;
 use bikecap_quant::QuantSet;
-use bikecap_tensor::conv::{
-    col2im3d_into, conv3d_out_dims, from_position_matrix_into, im2col3d_into,
-    to_position_matrix_into,
-};
 use bikecap_tensor::exec::{
-    fused_squash_into, map_into, matmul_into, permute_into, pyramid_conv_into, reduce_sum_into,
-    routing_agree_into, routing_couple_into, softmax_trailing_into, transpose2d_into,
-    zip_planned_into,
+    conv3d_dx_into, conv3d_into, fused_squash_into, map_into, matmul_into, permute_into,
+    pyramid_conv_into, reduce_sum_into, routing_agree_into, routing_couple_into,
+    softmax_trailing_into, zip_planned_into,
 };
 
 use crate::error::IrError;
@@ -257,35 +253,26 @@ fn record_step_work(step: &Step, store: &ParamStore, arena: &Arena, quant: Optio
             let len = fetch(arena, store, src).len();
             Work::softmax(len / inner.max(&1), *inner).record();
         }
-        Step::Conv {
-            w,
-            dims,
-            kernel,
-            spec,
-            c_out,
-            ..
-        } => {
-            let out = conv3d_out_dims((dims.2, dims.3, dims.4), *kernel, *spec);
-            let k = dims.1 * kernel.0 * kernel.1 * kernel.2;
-            if quant_conv_weight(quant, w, k, *c_out).is_some() {
-                Work::conv3d_q8(dims.0, dims.1, *c_out, out, *kernel).record();
+        Step::Conv { plan, w, .. } => {
+            let (b, c_in, c_out) = (plan.batch(), plan.c_in(), plan.c_out());
+            let (dims, out, kernel) = (plan.in_dims(), plan.out_dims(), plan.kernel());
+            if quant_conv_weight(quant, w, plan.patch_len(), c_out).is_some() {
+                Work::conv3d_q8(b, c_in, c_out, dims, out, kernel).record();
             } else {
-                Work::conv3d(dims.0, dims.1, *c_out, out, *kernel).record();
+                Work::conv3d(b, c_in, c_out, dims, out, kernel).record();
             }
         }
-        Step::ConvT {
-            n,
-            c_in,
-            c_out,
-            p,
-            kernel,
-            out_dims,
-            ..
-        } => {
-            // The model only consumes the product of the input extents, so the
-            // flat per-batch position count `p` stands in for (d, h, w).
-            Work::conv_transpose3d(*n, *c_in, *c_out, (*p, 1, 1), *out_dims, *kernel).record();
-        }
+        // The transposed conv runs `plan` backwards: its input is the
+        // plan's output and vice versa.
+        Step::ConvT { plan, .. } => Work::conv_transpose3d(
+            plan.batch(),
+            plan.c_out(),
+            plan.c_in(),
+            plan.out_dims(),
+            plan.in_dims(),
+            plan.kernel(),
+        )
+        .record(),
         Step::Pyramid { plan, .. } => Work::pyramid_conv(
             plan.batch(),
             plan.c_in(),
@@ -317,7 +304,7 @@ fn record_step_work(step: &Step, store: &ParamStore, arena: &Arena, quant: Optio
     }
 }
 
-/// Dispatches one baked step. The output slab (and any scratch) is detached
+/// Dispatches one baked step. The output slab is detached
 /// with `mem::take` so operand slabs can be borrowed immutably alongside it;
 /// the failpoint is checked *before* any take so error paths leave the arena
 /// whole.
@@ -443,84 +430,20 @@ fn run_step(
             softmax_trailing_into(fetch(arena, store, src), *inner, &mut o);
             arena.slabs[*out] = o;
         }
-        Step::Conv {
-            x,
-            w,
-            col,
-            wt,
-            mat,
-            out,
-            dims,
-            kernel,
-            spec,
-            c_out,
-        } => {
-            let mut colb = mem::take(&mut arena.slabs[*col]);
-            let mut wtb = mem::take(&mut arena.slabs[*wt]);
-            let mut matb = mem::take(&mut arena.slabs[*mat]);
+        Step::Conv { plan, x, w, out } => {
             let mut o = mem::take(&mut arena.slabs[*out]);
-            {
-                let xs = fetch(arena, store, x);
-                let k = dims.1 * kernel.0 * kernel.1 * kernel.2;
-                let rows = colb.len() / k;
-                if let Some(q) = quant_conv_weight(quant, w, k, *c_out) {
-                    // Quantized path: the same im2col + position-matmul
-                    // composition with the weight-transpose GEMM swapped for
-                    // the block-quantized body (the wt scratch slab stays
-                    // untouched).
-                    bikecap_quant::conv3d_q8_into(
-                        xs, q, *dims, *kernel, *spec, &mut colb, &mut matb, &mut o,
-                    );
-                } else {
-                    let ws = fetch(arena, store, w);
-                    // The exact eager composition: im2col, weight transpose,
-                    // row-position matmul, channel re-interleave.
-                    im2col3d_into(xs, *dims, *kernel, *spec, &mut colb);
-                    transpose2d_into(ws, *c_out, k, &mut wtb);
-                    matmul_into(&colb, &wtb, rows, k, *c_out, &mut matb);
-                    from_position_matrix_into(&matb, dims.0, *c_out, rows / dims.0, &mut o);
-                }
+            let xs = fetch(arena, store, x);
+            if let Some(q) = quant_conv_weight(quant, w, plan.patch_len(), plan.c_out()) {
+                // Quantized path: the same plan, the block-quantized body.
+                bikecap_quant::conv3d_q8_into(plan, xs, q, &mut o);
+            } else {
+                conv3d_into(plan, xs, fetch(arena, store, w), &mut o);
             }
-            arena.slabs[*col] = colb;
-            arena.slabs[*wt] = wtb;
-            arena.slabs[*mat] = matb;
             arena.slabs[*out] = o;
         }
-        Step::ConvT {
-            x,
-            w,
-            pos,
-            col,
-            out,
-            n,
-            c_in,
-            c_out,
-            p,
-            kernel,
-            spec,
-            out_dims,
-        } => {
-            let mut posb = mem::take(&mut arena.slabs[*pos]);
-            let mut colb = mem::take(&mut arena.slabs[*col]);
+        Step::ConvT { plan, x, w, out } => {
             let mut o = mem::take(&mut arena.slabs[*out]);
-            {
-                let xs = fetch(arena, store, x);
-                let ws = fetch(arena, store, w);
-                let k = c_out * kernel.0 * kernel.1 * kernel.2;
-                // The exact eager adjoint composition: position matrix,
-                // un-transposed weight matmul, scatter-add col2im.
-                to_position_matrix_into(xs, *n, *c_in, *p, &mut posb);
-                matmul_into(&posb, ws, n * p, *c_in, k, &mut colb);
-                col2im3d_into(
-                    &colb,
-                    (*n, *c_out, out_dims.0, out_dims.1, out_dims.2),
-                    *kernel,
-                    *spec,
-                    &mut o,
-                );
-            }
-            arena.slabs[*pos] = posb;
-            arena.slabs[*col] = colb;
+            conv3d_dx_into(plan, fetch(arena, store, x), fetch(arena, store, w), &mut o);
             arena.slabs[*out] = o;
         }
         Step::Pyramid { plan, x, w, out } => {

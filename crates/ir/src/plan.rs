@@ -21,11 +21,9 @@
 //! `Reshape` allocates nothing: it aliases its operand's slab and transfers
 //! the refcounts. `Const` leaves get dedicated slabs that are prefilled once
 //! per arena and never recycled — reusing one would let a later step
-//! clobber data the next execution still needs. Convolution scratch
-//! (the im2col patch matrix, the transposed weight, the position-matrix
-//! product) flows through the same free list, so consecutive convolutions
-//! share scratch instead of stacking it. The pyramid convolution reads its
-//! input and dense weight in place and needs no scratch at all.
+//! clobber data the next execution still needs. No step needs scratch:
+//! the convolutions (plain, transposed and pyramid) read their input and
+//! weight in place and write only their output.
 //!
 //! Every dispatch decision — broadcast strides, reduction strides, permute
 //! strides, matmul extents, convolution, pyramid and routing geometry — is baked into the
@@ -35,10 +33,10 @@
 use std::collections::HashMap;
 
 use bikecap_autograd::ParamId;
-use bikecap_tensor::conv::Conv3dSpec;
 use bikecap_tensor::exec::{
-    plan_broadcast, plan_permute, plan_pyramid_conv, plan_reduce_sum, plan_routing_agree,
-    plan_routing_couple, BroadcastPlan, PermutePlan, PyramidPlan, ReducePlan, RoutingPlan,
+    plan_broadcast, plan_conv3d, plan_permute, plan_pyramid_conv, plan_reduce_sum,
+    plan_routing_agree, plan_routing_couple, BroadcastPlan, ConvPlan, PermutePlan, PyramidPlan,
+    ReducePlan, RoutingPlan,
 };
 use bikecap_tensor::Tensor;
 
@@ -124,36 +122,18 @@ pub(crate) enum Step {
         out: usize,
     },
     Conv {
+        plan: ConvPlan,
         x: Src,
         w: Src,
-        /// Scratch: im2col patch matrix, `rows x k`.
-        col: usize,
-        /// Scratch: transposed weight, `k x c_out`.
-        wt: usize,
-        /// Scratch: position-matrix product, `rows x c_out`.
-        mat: usize,
         out: usize,
-        dims: (usize, usize, usize, usize, usize),
-        kernel: (usize, usize, usize),
-        spec: Conv3dSpec,
-        c_out: usize,
     },
+    /// The transposed convolution: the input adjoint of `plan`, so `x` has
+    /// `plan`'s output shape and `out` its input shape.
     ConvT {
+        plan: ConvPlan,
         x: Src,
         w: Src,
-        /// Scratch: input position matrix, `(n*p) x c_in`.
-        pos: usize,
-        /// Scratch: column product, `(n*p) x k`.
-        col: usize,
         out: usize,
-        n: usize,
-        c_in: usize,
-        c_out: usize,
-        /// Input spatial positions (`d*h*w` of the ConvT input).
-        p: usize,
-        kernel: (usize, usize, usize),
-        spec: Conv3dSpec,
-        out_dims: (usize, usize, usize),
     },
     Pyramid {
         plan: PyramidPlan,
@@ -462,9 +442,8 @@ impl<'g> Planner<'g> {
     }
 
     /// Bakes all dispatch geometry for live node `i` into a [`Step`]
-    /// writing slab `out`. May claim (and immediately schedule the release
-    /// of) scratch slabs.
-    fn bake_step(&mut self, i: usize, op: &Op, out: usize) -> Result<Step, IrError> {
+    /// writing slab `out`.
+    fn bake_step(&self, i: usize, op: &Op, out: usize) -> Result<Step, IrError> {
         let graph = self.graph;
         let node = &graph.nodes[i];
         let shape_of = |slot: usize| graph.nodes[node.parents[slot]].shape.as_slice();
@@ -552,63 +531,28 @@ impl<'g> Planner<'g> {
                     out,
                 }
             }
-            Op::Conv3d(spec) => {
-                let (x, w) = (shape_of(0), shape_of(1));
-                let dims = (x[0], x[1], x[2], x[3], x[4]);
-                let kernel = (w[2], w[3], w[4]);
-                let c_out = w[0];
-                let k = x[1] * kernel.0 * kernel.1 * kernel.2;
-                let rows = node.shape[0] * node.shape[2] * node.shape[3] * node.shape[4];
-                let col = self.claim(rows * k, 1);
-                let wt = self.claim(k * c_out, 1);
-                let mat = self.claim(rows * c_out, 1);
-                let step = Step::Conv {
-                    x: self.operand(node.parents[0])?,
-                    w: self.operand(node.parents[1])?,
-                    col,
-                    wt,
-                    mat,
-                    out,
-                    dims,
-                    kernel,
-                    spec: *spec,
-                    c_out,
-                };
-                // Scratch is consumed by the step being baked (future index
-                // `steps.len()`), so it is reusable only from the step after.
-                let free_from = self.steps.len() + 1;
-                self.release(col, free_from);
-                self.release(wt, free_from);
-                self.release(mat, free_from);
-                step
-            }
+            Op::Conv3d(spec) => Step::Conv {
+                plan: plan_conv3d(shape_of(0), shape_of(1), *spec)
+                    .filter(|p| p.out_shape() == node.shape.as_slice())
+                    .ok_or_else(|| IrError::Shape(format!("node {i}: conv3d operands disagree")))?,
+                x: self.operand(node.parents[0])?,
+                w: self.operand(node.parents[1])?,
+                out,
+            },
             Op::ConvTranspose3d(spec) => {
-                let (x, w) = (shape_of(0), shape_of(1));
-                let (n, c_in) = (x[0], x[1]);
-                let c_out = w[1];
-                let kernel = (w[2], w[3], w[4]);
-                let p = x[2] * x[3] * x[4];
-                let k = c_out * kernel.0 * kernel.1 * kernel.2;
-                let pos = self.claim(n * p * c_in, 1);
-                let col = self.claim(n * p * k, 1);
-                let step = Step::ConvT {
+                // The convolution this one transposes maps the output shape
+                // back to the input shape, with the same weight.
+                let w = shape_of(1);
+                Step::ConvT {
+                    plan: plan_conv3d(&node.shape, w, *spec)
+                        .filter(|p| p.out_shape() == shape_of(0))
+                        .ok_or_else(|| {
+                            IrError::Shape(format!("node {i}: conv_transpose3d operands disagree"))
+                        })?,
                     x: self.operand(node.parents[0])?,
                     w: self.operand(node.parents[1])?,
-                    pos,
-                    col,
                     out,
-                    n,
-                    c_in,
-                    c_out,
-                    p,
-                    kernel,
-                    spec: *spec,
-                    out_dims: (node.shape[2], node.shape[3], node.shape[4]),
-                };
-                let free_from = self.steps.len() + 1;
-                self.release(pos, free_from);
-                self.release(col, free_from);
-                step
+                }
             }
             Op::PyramidConv(k) => Step::Pyramid {
                 plan: plan_pyramid_conv(shape_of(0), shape_of(1))

@@ -10,15 +10,13 @@
 //! recycling schedule.
 //!
 //! Extents marked `derived` are recomputed from dispatch geometry
-//! (matmul `m/k/n`, convolution output dims, reduce/permute, pyramid and
-//! routing plans) rather than read back from the slab table, so a
+//! (matmul `m/k/n`, reduce/permute, convolution, pyramid and routing
+//! plans) rather than read back from the slab table, so a
 //! corrupted slab length is caught by comparison instead of being
 //! believed. Steps whose kernels only promise "input and output have the
 //! same length" (`map`, `scale`, `softmax`, …) get *cross-tied* extents:
 //! the read extent is frozen from the output slab's length at view-build
 //! time and vice versa, so shrinking either slab breaks the equality.
-
-use bikecap_tensor::conv::conv3d_out_dims;
 
 use crate::plan::{ModelPlan, Src, Step};
 
@@ -55,9 +53,6 @@ pub struct AccessView {
     /// (or cross-tied from the counterpart slab's length), `false` when it
     /// could only be copied from the slab table itself.
     pub derived: bool,
-    /// Scratch written and consumed inside the same step (conv im2col et
-    /// al.); exempt from the every-value-has-a-reader rule.
-    pub scratch: bool,
 }
 
 /// One scheduled step, reduced to its memory behaviour.
@@ -68,7 +63,7 @@ pub struct StepView {
     /// Slab operands (parameters read from the store are counted, not
     /// listed — they live outside the arena).
     pub reads: Vec<AccessView>,
-    /// Output first, then scratch.
+    /// The output slab.
     pub writes: Vec<AccessView>,
     /// Operands resolved live from the parameter store.
     pub param_reads: usize,
@@ -132,15 +127,11 @@ impl ModelPlan {
 }
 
 fn derived(slot: usize, extent: usize) -> AccessView {
-    AccessView { slot, extent, derived: true, scratch: false }
-}
-
-fn scratch(slot: usize, extent: usize) -> AccessView {
-    AccessView { slot, extent, derived: true, scratch: true }
+    AccessView { slot, extent, derived: true }
 }
 
 fn tied(slot: usize, slabs: &[usize]) -> AccessView {
-    AccessView { slot, extent: slabs[slot], derived: false, scratch: false }
+    AccessView { slot, extent: slabs[slot], derived: false }
 }
 
 /// Builds the view of one step. `reads`/`param_reads` collect slab and
@@ -230,34 +221,17 @@ fn step_view(step: &Step, slabs: &[usize]) -> StepView {
             read(logits, Some(derived(0, plan.logits_len())));
             ("routing_agree", vec![derived(*out, plan.logits_len())])
         }
-        Step::Conv { x, w, col, wt, mat, out, dims, kernel, spec, c_out } => {
-            let k = dims.1 * kernel.0 * kernel.1 * kernel.2;
-            let (od, oh, ow) = conv3d_out_dims((dims.2, dims.3, dims.4), *kernel, *spec);
-            let rows = dims.0 * od * oh * ow;
-            read(x, Some(derived(0, dims.0 * dims.1 * dims.2 * dims.3 * dims.4)));
-            read(w, Some(derived(0, c_out * k)));
-            (
-                "conv",
-                vec![
-                    derived(*out, rows * c_out),
-                    scratch(*col, rows * k),
-                    scratch(*wt, k * c_out),
-                    scratch(*mat, rows * c_out),
-                ],
-            )
+        Step::Conv { plan, x, w, out } => {
+            read(x, Some(derived(0, plan.x_len())));
+            read(w, Some(derived(0, plan.w_len())));
+            ("conv", vec![derived(*out, plan.out_len())])
         }
-        Step::ConvT { x, w, pos, col, out, n, c_in, c_out, p, kernel, out_dims, .. } => {
-            let k = c_out * kernel.0 * kernel.1 * kernel.2;
-            read(x, Some(derived(0, n * c_in * p)));
-            read(w, Some(derived(0, c_in * k)));
-            (
-                "conv_t",
-                vec![
-                    derived(*out, n * c_out * out_dims.0 * out_dims.1 * out_dims.2),
-                    scratch(*pos, n * p * c_in),
-                    scratch(*col, n * p * k),
-                ],
-            )
+        Step::ConvT { plan, x, w, out } => {
+            // The transposed conv is the input adjoint of `plan`: it reads
+            // that conv's output extent and writes its input extent.
+            read(x, Some(derived(0, plan.out_len())));
+            read(w, Some(derived(0, plan.w_len())));
+            ("conv_t", vec![derived(*out, plan.x_len())])
         }
     };
     StepView { op, reads, writes, param_reads }

@@ -398,21 +398,26 @@ impl LiveLoop {
         }
 
         if let Some(fault) = bikecap_faults::hit("live.adapt.finetune") {
-            return Ok(self.roll_back(slot, format!("fine-tune fault: {fault}")));
+            self.roll_back(slot, format!("fine-tune fault: {fault}"));
+            return Ok(());
         }
         let series = match self.window.to_series() {
             Some(s) => s,
-            None => return Ok(self.roll_back(slot, "window has no sealed slots".into())),
+            None => {
+                self.roll_back(slot, "window has no sealed slots".into());
+                return Ok(());
+            }
         };
         let min_slots = 5 * (self.config.history + self.config.horizon) + 2;
         if series.num_slots() < min_slots {
-            return Ok(self.roll_back(
+            self.roll_back(
                 slot,
                 format!(
                     "window too short to fine-tune: {} sealed slots, need {min_slots}",
                     series.num_slots()
                 ),
-            ));
+            );
+            return Ok(());
         }
         let dataset = ForecastDataset::new(&series, self.config.history, self.config.horizon);
 
@@ -423,10 +428,14 @@ impl LiveLoop {
         incumbent.save_checkpoint(&incumbent_path)?;
         let mut candidate = match BikeCap::build_seeded(self.entry.config().clone(), 0) {
             Ok(m) => m,
-            Err(e) => return Ok(self.roll_back(slot, format!("candidate build failed: {e}"))),
+            Err(e) => {
+                self.roll_back(slot, format!("candidate build failed: {e}"));
+                return Ok(());
+            }
         };
         if let Err(e) = candidate.load_checkpoint(&incumbent_path) {
-            return Ok(self.roll_back(slot, format!("incumbent reload failed: {e}")));
+            self.roll_back(slot, format!("incumbent reload failed: {e}"));
+            return Ok(());
         }
         let opts = ResilientOptions {
             train: self.config.train.clone(),
@@ -442,12 +451,16 @@ impl LiveLoop {
                 bikecap_obs::value("live.adapt.rollbacks", report.rollbacks as f64);
             }
             Err(TrainerError::Diverged { epoch, loss, .. }) => {
-                return Ok(self.roll_back(
+                self.roll_back(
                     slot,
                     format!("fine-tune diverged at epoch {epoch} (loss {loss})"),
-                ));
+                );
+                return Ok(());
             }
-            Err(e) => return Ok(self.roll_back(slot, format!("fine-tune failed: {e}"))),
+            Err(e) => {
+                self.roll_back(slot, format!("fine-tune failed: {e}"));
+                return Ok(());
+            }
         }
 
         // Shadow evaluation on the held-out validation slice of the window.
@@ -455,7 +468,8 @@ impl LiveLoop {
             let _shadow = bikecap_obs::span("live.adapt.shadow");
             let anchors = dataset.anchors(Split::Val);
             if anchors.is_empty() {
-                return Ok(self.roll_back(slot, "no validation anchors in window".into()));
+                self.roll_back(slot, "no validation anchors in window".into());
+                return Ok(());
             }
             (
                 mae_over(&incumbent, &dataset, &anchors, self.config.eval_batch),
@@ -465,7 +479,8 @@ impl LiveLoop {
         bikecap_obs::value("live.adapt.incumbent_mae", f64::from(incumbent_mae));
         bikecap_obs::value("live.adapt.candidate_mae", f64::from(candidate_mae));
         if let Some(fault) = bikecap_faults::hit("live.adapt.shadow") {
-            return Ok(self.roll_back(slot, format!("shadow evaluation fault: {fault}")));
+            self.roll_back(slot, format!("shadow evaluation fault: {fault}"));
+            return Ok(());
         }
 
         let wins = f64::from(candidate_mae)
@@ -486,7 +501,8 @@ impl LiveLoop {
         }
 
         if let Some(fault) = bikecap_faults::hit("live.adapt.swap") {
-            return Ok(self.roll_back(slot, format!("swap vetoed: {fault}")));
+            self.roll_back(slot, format!("swap vetoed: {fault}"));
+            return Ok(());
         }
         // The same path POST /admin/reload takes: serve.reload.swap
         // failpoint, degraded pinning on failure, swap counter on success.
@@ -494,7 +510,8 @@ impl LiveLoop {
             if let Some(m) = &self.metrics {
                 m.degraded.store(true, Ordering::Relaxed);
             }
-            return Ok(self.roll_back(slot, format!("hot-swap failed: {e}")));
+            self.roll_back(slot, format!("hot-swap failed: {e}"));
+            return Ok(());
         }
         if let Some(m) = &self.metrics {
             m.swaps_total.fetch_add(1, Ordering::Relaxed);

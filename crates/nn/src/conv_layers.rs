@@ -115,7 +115,7 @@ impl Conv3d {
             let (batch, c_in, dims) = unpack5(tape.value(x).shape());
             let (c_out, _, kernel) = unpack5(tape.value(w).shape());
             let out = bikecap_tensor::conv::conv3d_out_dims(dims, kernel, self.spec);
-            bikecap_obs::Work::conv3d(batch, c_in, c_out, out, kernel).record();
+            bikecap_obs::Work::conv3d(batch, c_in, c_out, dims, out, kernel).record();
         }
         let y = tape.conv3d(x, w, self.spec);
         tape.add(y, b)

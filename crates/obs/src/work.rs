@@ -2,11 +2,12 @@
 //! shapes alone.
 //!
 //! Each constructor encodes the arithmetic and memory traffic of one kernel
-//! *as implemented* in `bikecap-tensor` (im2col + GEMM convolutions, two-pass
-//! softmax, …), not a textbook lower bound — the point is to compare achieved
-//! GFLOP/s and GB/s against the machine roofline and call a kernel memory- or
-//! compute-bound. The exact formulas are documented in DESIGN.md Appendix I;
-//! changing a kernel's data movement means updating the matching constructor.
+//! *as implemented* in `bikecap-tensor` (fused convolutions that read input
+//! taps in place, two-pass softmax, …), not a textbook lower bound — the
+//! point is to compare achieved GFLOP/s and GB/s against the machine
+//! roofline and call a kernel memory- or compute-bound. The exact formulas
+//! are documented in DESIGN.md Appendix I; changing a kernel's data movement
+//! means updating the matching constructor.
 //!
 //! Usage: inside an existing kernel span, build the [`Work`] for the shapes
 //! at hand and [`Work::record`] it. That emits two value events —
@@ -57,56 +58,61 @@ impl Work {
         }
     }
 
-    /// Quantized im2col + GEMM 3-D convolution: [`Work::conv3d`] with the
-    /// GEMM swapped for [`Work::matmul_q8`] against the block-quantized
-    /// weight — same im2col gather traffic, `1.125`-byte weight reads.
+    /// Quantized 3-D convolution: [`Work::conv3d`] with the dot products
+    /// against the block-quantized weight — the same `2·P·K·c_out`
+    /// arithmetic plus the `2·P·K` on-the-fly quantization of each gathered
+    /// patch row, and `1.125`-byte weight reads.
     pub fn conv3d_q8(
         batch: usize,
         c_in: usize,
         c_out: usize,
+        in_dims: (usize, usize, usize),
         out_dims: (usize, usize, usize),
         kernel: (usize, usize, usize),
     ) -> Work {
         let positions = (batch * out_dims.0 * out_dims.1 * out_dims.2) as f64;
         let patch = (c_in * kernel.0 * kernel.1 * kernel.2) as f64;
+        let input = (batch * c_in * in_dims.0 * in_dims.1 * in_dims.2) as f64;
         let c_out = c_out as f64;
         Work {
             flops: 2.0 * positions * patch * c_out + 2.0 * positions * patch,
-            bytes: F32 * (3.0 * positions * patch + positions * c_out) + Q8 * patch * c_out,
+            bytes: F32 * (input + positions * c_out) + Q8 * patch * c_out,
         }
     }
 
-    /// im2col + GEMM 3-D convolution producing `(batch, c_out, od, oh, ow)`
-    /// from a `c_in`-channel input with kernel `(kd, kh, kw)`.
+    /// Fused 3-D convolution producing `(batch, c_out, od, oh, ow)` from a
+    /// `(batch, c_in, d, h, w)` input with kernel `(kd, kh, kw)`.
     ///
     /// With `P = batch·od·oh·ow` output positions and `K = c_in·kd·kh·kw`
-    /// patch length: `2·P·K·c_out` flops; traffic is the im2col gather read
-    /// plus column write plus the GEMM's column re-read (`3·P·K`), the
-    /// weights (`K·c_out`), and the output write (`P·c_out`).
+    /// patch length: `2·P·K·c_out` flops. The kernel reads input taps in
+    /// place, so traffic is the input, the weights (`K·c_out`) and the
+    /// output (`P·c_out`) once each — no patch matrix.
     pub fn conv3d(
         batch: usize,
         c_in: usize,
         c_out: usize,
+        in_dims: (usize, usize, usize),
         out_dims: (usize, usize, usize),
         kernel: (usize, usize, usize),
     ) -> Work {
         let positions = (batch * out_dims.0 * out_dims.1 * out_dims.2) as f64;
         let patch = (c_in * kernel.0 * kernel.1 * kernel.2) as f64;
+        let input = (batch * c_in * in_dims.0 * in_dims.1 * in_dims.2) as f64;
         let c_out = c_out as f64;
         Work {
             flops: 2.0 * positions * patch * c_out,
-            bytes: F32 * (3.0 * positions * patch + patch * c_out + positions * c_out),
+            bytes: F32 * (input + patch * c_out + positions * c_out),
         }
     }
 
-    /// GEMM + col2im transposed 3-D convolution: input `(batch, c_in, d, h,
-    /// w)`, kernel `(kd, kh, kw)`, output `(batch, c_out, od, oh, ow)`.
+    /// Fused transposed 3-D convolution: input `(batch, c_in, d, h, w)`,
+    /// kernel `(kd, kh, kw)`, output `(batch, c_out, od, oh, ow)`.
     ///
-    /// With `P = batch·d·h·w` input positions and `K = c_out·kd·kh·kw`: the
-    /// GEMM is `2·P·c_in·K` flops and the col2im scatter adds another `P·K`;
-    /// traffic is the input and weights once, the column matrix written and
-    /// re-read (`2·P·K`), and the output's read-modify-write scatter
-    /// (`2·batch·c_out·od·oh·ow`).
+    /// With `P = batch·d·h·w` input positions and `K = c_out·kd·kh·kw`:
+    /// every output element gathers one `c_in`-channel sum per tap that
+    /// reaches it, `2·P·c_in·K` flops, and adds it in, another `P·K`. It
+    /// gathers rather than scatters, so traffic is the input, the weights
+    /// and the output once each.
     pub fn conv_transpose3d(
         batch: usize,
         c_in: usize,
@@ -121,11 +127,7 @@ impl Work {
         let out_elems = (batch * c_out * out_dims.0 * out_dims.1 * out_dims.2) as f64;
         Work {
             flops: 2.0 * positions * c_in * patch + positions * patch,
-            bytes: F32
-                * (positions * c_in
-                    + c_in * patch
-                    + 2.0 * positions * patch
-                    + 2.0 * out_elems),
+            bytes: F32 * (positions * c_in + c_in * patch + out_elems),
         }
     }
 
@@ -272,26 +274,26 @@ mod tests {
     }
 
     #[test]
-    fn conv3d_matches_im2col_gemm_decomposition() {
-        // 16x4x8x8x8 input, 3x3x3 same-padded, 4 -> 8 channels: the GEMM is
-        // (16*512, 108) x (108, 8).
-        let w = Work::conv3d(16, 4, 8, (8, 8, 8), (3, 3, 3));
+    fn conv3d_counts_each_operand_once() {
+        // 16x4x8x8x8 input, 3x3x3 same-padded, 4 -> 8 channels: the
+        // im2col GEMM would be (16*512, 108) x (108, 8).
+        let w = Work::conv3d(16, 4, 8, (8, 8, 8), (8, 8, 8), (3, 3, 3));
         let positions = 16.0 * 512.0;
         let patch = 4.0 * 27.0;
         assert_eq!(w.flops, 2.0 * positions * patch * 8.0);
-        let gemm = Work::matmul(16 * 512, 108, 8);
-        // Conv moves strictly more than its GEMM: the im2col gather + column
-        // materialisation add 2·P·K elements of traffic.
-        assert_eq!(w.bytes - gemm.bytes, 4.0 * 2.0 * positions * patch);
+        // Input, weights and output once each: less than the GEMM alone
+        // moves, since no patch matrix is written or read.
+        assert_eq!(w.bytes, 4.0 * (16.0 * 4.0 * 512.0 + patch * 8.0 + positions * 8.0));
+        assert!(w.bytes < Work::matmul(16 * 512, 108, 8).bytes);
     }
 
     #[test]
-    fn conv_transpose_includes_scatter_traffic() {
+    fn conv_transpose_gathers_without_scatter_traffic() {
         let w = Work::conv_transpose3d(2, 8, 4, (4, 6, 6), (4, 6, 6), (3, 3, 3));
         let positions = 2.0 * 4.0 * 6.0 * 6.0;
         let patch = 4.0 * 27.0;
         assert_eq!(w.flops, 2.0 * positions * 8.0 * patch + positions * patch);
-        assert!(w.bytes > 4.0 * 2.0 * positions * patch);
+        assert_eq!(w.bytes, 4.0 * (positions * 8.0 + 8.0 * patch + positions * 4.0));
     }
 
     #[test]
@@ -305,7 +307,7 @@ mod tests {
         let lag1 = 7.0 * (7.0 + 8.0 + 7.0) * (7.0 + 8.0 + 7.0);
         let lag2 = 6.0 * (6.0 + 7.0 + 8.0 + 7.0 + 6.0) * (6.0 + 7.0 + 8.0 + 7.0 + 6.0);
         assert_eq!(pyr.flops, 2.0 * 16.0 * 16.0 * (512.0 + lag1 + lag2));
-        let dense = Work::conv3d(16, 4, 4, (8, 8, 8), (3, 5, 5));
+        let dense = Work::conv3d(16, 4, 4, (10, 8, 8), (8, 8, 8), (3, 5, 5));
         assert!(pyr.flops < 0.5 * dense.flops);
         assert_eq!(pyr.bytes, 4.0 * (2.0 * 16.0 * 4.0 * 512.0 + 16.0 * 35.0));
     }
@@ -328,9 +330,10 @@ mod tests {
         assert_eq!(f.bytes - q.bytes, (4.0 - 36.0 / 32.0) * 256.0 * 64.0);
         assert!(q.intensity() > f.intensity());
 
-        let fc = Work::conv3d(16, 4, 8, (8, 8, 8), (3, 3, 3));
-        let qc = Work::conv3d_q8(16, 4, 8, (8, 8, 8), (3, 3, 3));
+        let fc = Work::conv3d(16, 4, 8, (8, 8, 8), (8, 8, 8), (3, 3, 3));
+        let qc = Work::conv3d_q8(16, 4, 8, (8, 8, 8), (8, 8, 8), (3, 3, 3));
         assert_eq!(fc.bytes - qc.bytes, (4.0 - 36.0 / 32.0) * 108.0 * 8.0);
+        assert_eq!(qc.flops, fc.flops + 2.0 * 16.0 * 512.0 * 108.0);
         assert!(qc.intensity() > fc.intensity());
     }
 

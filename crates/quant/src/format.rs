@@ -16,7 +16,7 @@
 //!
 //! * conv3d weights `(C_out, C_in, KD, KH, KW)` quantize **natural** —
 //!   one row per output channel, `k = C_in·KD·KH·KW`, which is exactly the
-//!   patch-matrix reduction the shared im2col kernel performs;
+//!   patch-row reduction the conv kernel performs;
 //! * matmul weights `(k, n)` quantize **transposed** — one row per output
 //!   column, so the quantized dot runs over contiguous bytes.
 //!

@@ -2,26 +2,75 @@
 //! executor.
 //!
 //! Activations are quantized on the fly, one 32-element block per row (or
-//! im2col patch) at a time into a stack buffer — the hot path performs no
-//! heap allocation. Each block dot product accumulates in `i32` and is
+//! convolution patch row, gathered in place) at a time into a stack buffer —
+//! the hot path performs no heap allocation. Each block dot product accumulates in `i32` and is
 //! rescaled to f32 by the product of the two block scales; per output
 //! element the block contributions add in ascending block order, so the
 //! f32 accumulation order is fixed.
 //!
-//! Determinism contract: output rows are distributed with
-//! [`bikecap_rt::parallel_items_mut`], which hands every row to exactly one
+//! Determinism contract: output rows (matmul) or output positions (conv)
+//! are distributed with [`bikecap_rt::parallel_items_mut`] /
+//! [`bikecap_rt::parallel_columns_mut`], which hand each to exactly one
 //! worker. Combined with the fixed in-row accumulation order this makes the
 //! result bitwise identical at any thread count, and — because the eager
 //! overlay and the compiled executor call these same bodies — bitwise
 //! identical across `BIKECAP_EXECUTOR` modes.
 
-use bikecap_tensor::conv::{conv3d_out_dims, from_position_matrix_into, im2col3d_into, Conv3dSpec};
+use bikecap_tensor::conv::{checked_plan, Conv3dSpec};
+use bikecap_tensor::exec::ConvPlan;
 
 use crate::format::{Q8Tensor, QK8_0};
 
 /// Minimum per-chunk scalar work before the parallel runtime splits a loop
 /// (same floor as the f32 kernels in `bikecap-tensor`).
 const PAR_MIN_WORK: usize = 8 * 1024;
+
+/// Quantizes one activation block (at most [`QK8_0`] values) into `qa`,
+/// zero-filling the tail, and returns its scale — or `None` for an all-zero
+/// block, whose every contribution would be exactly `0.0` (callers skip
+/// it; a `+=` of it would be a no-op).
+#[inline(always)]
+fn quantize_block(ablk: &[f32], qa: &mut [i8; QK8_0]) -> Option<f32> {
+    let mut amax = 0.0f32;
+    for &v in ablk {
+        amax = amax.max(v.abs());
+    }
+    if amax == 0.0 {
+        return None;
+    }
+    let inv = 127.0 / amax;
+    for (q, &v) in qa.iter_mut().zip(ablk) {
+        *q = round_to_i8(v * inv);
+    }
+    for q in qa.iter_mut().skip(ablk.len()) {
+        *q = 0;
+    }
+    Some(amax / 127.0)
+}
+
+/// `y.round().clamp(-127.0, 127.0) as i8` without the `roundf` call the
+/// baseline x86-64 target makes for `f32::round`: clamp, truncate, then
+/// step one away from zero when the exact remainder `y - trunc(y)` reaches
+/// a half. The same value for every `y`, infinities and NaN (→ 0)
+/// included.
+#[inline(always)]
+fn round_to_i8(y: f32) -> i8 {
+    let y = y.clamp(-127.0, 127.0);
+    let t = y as i32;
+    let frac = y - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)).clamp(-127, 127) as i8
+}
+
+/// `i32` dot product of a quantized activation block with the weight block
+/// starting at `wblk`.
+#[inline(always)]
+fn block_dot(qa: &[i8; QK8_0], wblk: &[i8]) -> i32 {
+    let mut acc = 0i32;
+    for (&a, &w) in qa.iter().zip(&wblk[..QK8_0]) {
+        acc += a as i32 * w as i32;
+    }
+    acc
+}
 
 /// `out(m,n) = a(m,k) × wq` where `wq` holds `n` quantized rows of length
 /// `k` (a transposed-quantized matmul weight or a natural conv weight).
@@ -47,102 +96,133 @@ pub fn matmul_q8_into(a: &[f32], wq: &Q8Tensor, m: usize, k: usize, n: usize, ou
             for kb in 0..bpr {
                 let start = kb * QK8_0;
                 let len = (k - start).min(QK8_0);
-                let ablk = &arow[start..start + len];
                 // Quantize this activation block once; it is shared by all
                 // n output columns.
-                let mut amax = 0.0f32;
-                for &v in ablk {
-                    amax = amax.max(v.abs());
-                }
-                if amax == 0.0 {
-                    // Zero block: every contribution is exactly 0.0 — the
-                    // += below would be a no-op, so skip the column loop.
+                let Some(a_scale) = quantize_block(&arow[start..start + len], &mut qa) else {
                     continue;
-                }
-                let a_scale = amax / 127.0;
-                let inv = 127.0 / amax;
-                for (i, &v) in ablk.iter().enumerate() {
-                    qa[i] = (v * inv).round().clamp(-127.0, 127.0) as i8;
-                }
-                for q in qa.iter_mut().skip(len) {
-                    *q = 0;
-                }
+                };
                 for (j, o) in orow.iter_mut().enumerate() {
-                    let wblk = &qs[(j * bpr + kb) * QK8_0..(j * bpr + kb + 1) * QK8_0];
-                    let mut acc = 0i32;
-                    for i in 0..QK8_0 {
-                        acc += qa[i] as i32 * wblk[i] as i32;
-                    }
-                    *o += a_scale * scales[j * bpr + kb] * acc as f32;
+                    let dot = block_dot(&qa, &qs[(j * bpr + kb) * QK8_0..]);
+                    *o += a_scale * scales[j * bpr + kb] * dot as f32;
                 }
             }
         }
     });
 }
 
-/// Quantized 3-D convolution over pre-sized scratch: the exact compiled
-/// composition — im2col, quantized row-position matmul, channel
-/// re-interleave — with the f32 `weight-transpose × matmul` middle replaced
-/// by [`matmul_q8_into`] against the natural-layout quantized weight.
+/// Patch floats per stack segment of [`conv3d_q8_into`].
+const Q8_SEGMENT: usize = 4096;
+
+/// Output positions per accumulator tile of [`conv3d_q8_into`].
+const Q8_POS_TILE: usize = 64;
+
+/// Output channels per accumulator tile of [`conv3d_q8_into`].
+const Q8_CO_TILE: usize = 16;
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Quantized 3-D convolution over a [`ConvPlan`]: per output position,
+/// the patch row is gathered into a stack buffer
+/// ([`ConvPlan::patch_rows_into`], in segments of whole kernel rows that
+/// are also whole [`QK8_0`] blocks), quantized block by block, and each
+/// block is dotted with every output channel's block of the natural-layout
+/// quantized weight. Each output element adds its block contributions from
+/// `0.0` in ascending block order — bitwise the im2col + [`matmul_q8_into`]
+/// + re-interleave composition, with no patch matrix or product scratch.
 ///
-/// `x` is `(N, C_in, D, H, W)` flattened, `col` is `rows x k` scratch,
-/// `mat` is `rows x c_out` scratch, `out` is `(N, C_out, OD, OH, OW)`
-/// flattened, where `rows = N·OD·OH·OW` and `k = C_in·KD·KH·KW`.
+/// Output positions are the parallel unit
+/// ([`bikecap_rt::parallel_columns_mut`] over the `(B·C_out, OD·OH·OW)`
+/// output), so a single sample still fans out; sums collect in a stack
+/// tile of positions × channels and are written out a channel row at a
+/// time.
 ///
 /// # Panics
 ///
-/// Panics when any length disagrees with the convolution geometry.
-#[allow(clippy::too_many_arguments)]
-pub fn conv3d_q8_into(
-    x: &[f32],
-    wq: &Q8Tensor,
-    dims: (usize, usize, usize, usize, usize),
-    kernel: (usize, usize, usize),
-    spec: Conv3dSpec,
-    col: &mut [f32],
-    mat: &mut [f32],
-    out: &mut [f32],
-) {
+/// Panics when any length disagrees with the plan, `wq` is not the plan's
+/// natural-layout `(C_out, K)` weight, or `lcm(KW, 32)` exceeds the
+/// segment buffer.
+pub fn conv3d_q8_into(plan: &ConvPlan, x: &[f32], wq: &Q8Tensor, out: &mut [f32]) {
     assert!(!wq.transposed(), "conv3d_q8_into: weight must be natural-layout");
-    let k = dims.1 * kernel.0 * kernel.1 * kernel.2;
-    let rows = col.len() / k.max(1);
-    let c_out = wq.rows();
-    im2col3d_into(x, dims, kernel, spec, col);
-    matmul_q8_into(col, wq, rows, k, c_out, mat);
-    from_position_matrix_into(mat, dims.0, c_out, rows / dims.0.max(1), out);
+    assert_eq!(x.len(), plan.x_len(), "conv3d_q8_into: x length mismatch");
+    assert_eq!(out.len(), plan.out_len(), "conv3d_q8_into: out length mismatch");
+    let (k, c_out, kw) = (plan.patch_len(), plan.c_out(), plan.kernel().2.max(1));
+    assert_eq!(wq.k(), k, "conv3d_q8_into: weight reduction length mismatch");
+    assert_eq!(wq.rows(), c_out, "conv3d_q8_into: weight row count mismatch");
+    let bpr = wq.blocks_per_row();
+    let scales = wq.scales();
+    let qs = wq.qs();
+    let (_, oh, ow) = plan.out_dims();
+    // A segment is whole kernel rows and whole blocks: a multiple of
+    // lcm(KW, QK8_0) columns.
+    let unit = kw / gcd(kw, QK8_0) * QK8_0;
+    assert!(unit <= Q8_SEGMENT, "conv3d_q8_into: kernel width {kw} exceeds the segment buffer");
+    let (rows, seg_rows) = (k / kw, Q8_SEGMENT / unit * unit / kw);
+    let min_cols = (PAR_MIN_WORK / (plan.batch() * k * c_out).max(1)).max(1);
+    bikecap_rt::parallel_columns_mut(out, plan.positions(), min_cols, |mut block| {
+        let cols = block.cols();
+        let mut patch = [0.0f32; Q8_SEGMENT];
+        let mut qa = [0i8; QK8_0];
+        let mut tile = [[0.0f32; Q8_CO_TILE]; Q8_POS_TILE];
+        for co0 in (0..c_out).step_by(Q8_CO_TILE) {
+            let nco = Q8_CO_TILE.min(c_out - co0);
+            for b in 0..plan.batch() {
+                for c0 in (0..cols.len()).step_by(Q8_POS_TILE) {
+                    let n = Q8_POS_TILE.min(cols.len() - c0);
+                    for (at, acc) in (cols.start + c0..).zip(&mut tile[..n]) {
+                        let pos = (at / (oh * ow), (at / ow) % oh, at % ow);
+                        let acc = &mut acc[..nco];
+                        acc.fill(0.0);
+                        for r0 in (0..rows).step_by(seg_rows) {
+                            let seg = &mut patch[..seg_rows.min(rows - r0) * kw];
+                            plan.patch_rows_into(x, b, pos, r0..r0 + seg.len() / kw, seg);
+                            for (kb, ablk) in (r0 * kw / QK8_0..).zip(seg.chunks(QK8_0)) {
+                                let Some(a_scale) = quantize_block(ablk, &mut qa) else {
+                                    continue;
+                                };
+                                for (co, o) in (co0..).zip(acc.iter_mut()) {
+                                    let dot = block_dot(&qa, &qs[(co * bpr + kb) * QK8_0..]);
+                                    *o += a_scale * scales[co * bpr + kb] * dot as f32;
+                                }
+                            }
+                        }
+                    }
+                    for j in 0..nco {
+                        let row = &mut block.row(b * c_out + co0 + j)[c0..c0 + n];
+                        for (o, acc) in row.iter_mut().zip(&tile) {
+                            *o = acc[j];
+                        }
+                    }
+                }
+            }
+        }
+    });
 }
 
 /// Allocating wrapper over [`conv3d_q8_into`] for the eager overlay:
-/// computes the output shape from the input and spec, sizes the scratch,
-/// and returns the flat output with its shape.
+/// plans the convolution from the input shape and spec and returns the flat
+/// output with its shape.
 ///
 /// # Panics
 ///
-/// Panics when `x_shape` is not rank 5 or channels disagree with `wq`.
+/// Panics when `x_shape` is not rank 5, channels disagree with `wq`, or the
+/// kernel exceeds the padded input (see [`checked_plan`]).
 pub fn conv3d_q8(
     x: &[f32],
     x_shape: &[usize],
     wq: &Q8Tensor,
     spec: Conv3dSpec,
 ) -> (Vec<f32>, Vec<usize>) {
-    assert_eq!(x_shape.len(), 5, "conv3d_q8: input must be rank 5");
-    let ws = wq.shape();
-    assert_eq!(ws.len(), 5, "conv3d_q8: weight must be rank 5");
-    assert_eq!(x_shape[1], ws[1], "conv3d_q8: channel mismatch");
-    let dims = (x_shape[0], x_shape[1], x_shape[2], x_shape[3], x_shape[4]);
-    let kernel = (ws[2], ws[3], ws[4]);
-    let (od, oh, ow) = conv3d_out_dims((dims.2, dims.3, dims.4), kernel, spec);
-    let k = dims.1 * kernel.0 * kernel.1 * kernel.2;
-    let rows = dims.0 * od * oh * ow;
-    let c_out = ws[0];
-    let mut col = Vec::new();
-    col.resize(rows * k, 0.0);
-    let mut mat = Vec::new();
-    mat.resize(rows * c_out, 0.0);
+    let plan = checked_plan(x_shape, wq.shape(), spec);
     let mut out = Vec::new();
-    out.resize(dims.0 * c_out * od * oh * ow, 0.0);
-    conv3d_q8_into(x, wq, dims, kernel, spec, &mut col, &mut mat, &mut out);
-    (out, vec![dims.0, c_out, od, oh, ow])
+    out.resize(plan.out_len(), 0.0);
+    conv3d_q8_into(&plan, x, wq, &mut out);
+    (out, plan.out_shape().to_vec())
 }
 
 #[cfg(test)]
@@ -153,6 +233,26 @@ mod tests {
 
     fn ramp(len: usize, phase: f32) -> Vec<f32> {
         (0..len).map(|i| ((i as f32 + phase) * 0.61).sin() * 2.0).collect()
+    }
+
+    #[test]
+    fn round_to_i8_matches_round_then_clamp() {
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.5,
+            -0.5,
+            126.5,
+            -126.5,
+            127.5,
+            1e30,
+        ];
+        let sweep = (-130_000..=130_000).map(|i| i as f32 / 1000.0);
+        for y in specials.into_iter().chain(sweep) {
+            let want = y.round().clamp(-127.0, 127.0) as i8;
+            assert_eq!(round_to_i8(y), want, "y = {y}");
+        }
     }
 
     #[test]

@@ -727,9 +727,10 @@ impl<T> SendPtr<T> {
 /// items with a [`ChunkPlan`] (`min_items` per chunk minimum), and calls
 /// `f(first_item_index, items)` on each chunk's mutable sub-slice.
 ///
-/// This is the workhorse for the conv kernels: each "item" is an output row
-/// (or batch slab), chunks never overlap, and each element is produced by
-/// exactly the code the serial loop would have run — hence bitwise equality.
+/// This is the workhorse for the row-disjoint kernels: each "item" is an
+/// output row (or plane), chunks never overlap, and each element is produced
+/// by exactly the code the serial loop would have run — hence bitwise
+/// equality.
 ///
 /// `data.len()` must be a multiple of `item_len`.
 ///
@@ -784,6 +785,77 @@ where
             }
         }
     }
+}
+
+/// One chunk's share of [`parallel_columns_mut`]: the columns
+/// [`ColumnsMut::cols`] of every row of a row-major matrix.
+pub struct ColumnsMut<'a, T> {
+    base: *mut T,
+    row_len: usize,
+    rows: usize,
+    cols: Range<usize>,
+    _data: std::marker::PhantomData<&'a mut [T]>,
+}
+
+impl<T> ColumnsMut<'_, T> {
+    /// The column range this chunk owns.
+    pub fn cols(&self) -> Range<usize> {
+        self.cols.clone()
+    }
+
+    /// Row `r`'s owned columns, `cols().len()` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not a row of the matrix.
+    pub fn row(&mut self, r: usize) -> &mut [T] {
+        assert!(r < self.rows, "row {r} out of {} rows", self.rows);
+        // SAFETY: the column ranges of distinct chunks are disjoint, so no
+        // other chunk can reach these elements; `&mut self` keeps a chunk
+        // from holding two rows at once.
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                self.base.add(r * self.row_len + self.cols.start),
+                self.cols.len(),
+            )
+        }
+    }
+}
+
+/// Treats `data` as a row-major matrix of `row_len` columns, chunks the
+/// *columns* with a [`ChunkPlan`] (`min_cols` per chunk minimum), and calls
+/// `f` with each chunk's [`ColumnsMut`] view: the chunk's columns of every
+/// row.
+///
+/// The column split is for kernels whose independent work items are
+/// columns spread over many rows — a conv output position across all
+/// `(batch, channel)` planes, or a weight-gradient column across all
+/// output channels — so the parallelism does not come from the row axis.
+/// Every element still has exactly one owner, hence bitwise equality with
+/// the serial loop. Panics in `f` are re-raised as in [`parallel_for`].
+///
+/// `data.len()` must be a multiple of `row_len`.
+pub fn parallel_columns_mut<T, F>(data: &mut [T], row_len: usize, min_cols: usize, f: F)
+where
+    T: Send,
+    F: Fn(ColumnsMut<'_, T>) + Sync,
+{
+    if data.is_empty() || row_len == 0 {
+        return;
+    }
+    debug_assert_eq!(data.len() % row_len, 0, "data not a whole number of rows");
+    let rows = data.len() / row_len;
+    let plan = ChunkPlan::new(row_len, min_cols);
+    let base = SendPtr(data.as_mut_ptr());
+    parallel_for(plan.count(), move |chunk| {
+        f(ColumnsMut {
+            base: base.get(),
+            row_len,
+            rows,
+            cols: plan.range(chunk),
+            _data: std::marker::PhantomData,
+        })
+    });
 }
 
 /// Deterministic parallel reduction: maps each [`ChunkPlan`] range with
@@ -922,6 +994,28 @@ mod tests {
             assert_eq!(got, expect, "threads={threads}");
         }
         set_threads(0);
+    }
+
+    #[test]
+    fn columns_mut_writes_every_element_once() {
+        let (rows, cols) = (5usize, 203usize);
+        for threads in [1usize, 2, 7] {
+            set_threads(threads);
+            let mut got = vec![0u32; rows * cols];
+            parallel_columns_mut(&mut got, cols, 3, |mut block| {
+                for r in 0..rows {
+                    let first = block.cols().start;
+                    for (offset, v) in block.row(r).iter_mut().enumerate() {
+                        *v += (r * cols + first + offset) as u32 + 1;
+                    }
+                }
+            });
+            let want: Vec<u32> = (1..=(rows * cols) as u32).collect();
+            assert_eq!(got, want, "threads={threads}");
+        }
+        set_threads(0);
+        let mut empty: Vec<u8> = Vec::new();
+        parallel_columns_mut(&mut empty, 4, 1, |_| unreachable!());
     }
 
     #[test]

@@ -1,6 +1,12 @@
-//! Convolution kernels: 3-D convolution (forward, backward-input,
-//! backward-weight) via im2col + matmul, 2-D wrappers, and transposed 3-D
-//! convolution derived from the adjoint relationship.
+//! Convolution ops: 3-D convolution (forward, backward-input,
+//! backward-weight), 2-D wrappers, and transposed 3-D convolution derived
+//! from the adjoint relationship.
+//!
+//! The three 3-D bodies are the fused kernels of [`crate::exec`]
+//! ([`conv3d_into`], [`conv3d_dx_into`], [`conv3d_dw_into`]): they read
+//! input taps in place instead of unrolling a patch matrix, and each is
+//! bitwise equal to the im2col / col2im + GEMM composition it replaced
+//! (DESIGN.md Appendix M). The compiled executor runs the same bodies.
 //!
 //! Layout conventions follow the deep-learning standard:
 //!
@@ -12,6 +18,7 @@
 //! forward convolution (`conv_transpose3d(x) = conv3d_backward_input(x)`),
 //! which the test-suite verifies via inner-product identities.
 
+use crate::exec::{conv3d_dw_into, conv3d_dx_into, conv3d_into, plan_conv3d, ConvPlan};
 use crate::Tensor;
 
 /// Stride and zero-padding of a 3-D convolution, per axis `(depth, height, width)`.
@@ -107,265 +114,34 @@ fn check_weight5(weight: &Tensor) -> (usize, usize, usize, usize, usize) {
     (s[0], s[1], s[2], s[3], s[4])
 }
 
-/// Unrolls the input into a `(N*OD*OH*OW, C*KD*KH*KW)` patch matrix.
-pub fn im2col3d(input: &Tensor, kernel: (usize, usize, usize), spec: Conv3dSpec) -> Tensor {
-    let (n, c, d, h, w) = check_input5(input);
-    let (kd, kh, kw) = kernel;
-    let (od, oh, ow) = conv3d_out_dims((d, h, w), kernel, spec);
-    let k = c * kd * kh * kw;
-    let rows = n * od * oh * ow;
-    let mut col = vec![0.0f32; rows * k];
-    im2col3d_into(input.as_slice(), (n, c, d, h, w), kernel, spec, &mut col);
-    Tensor::from_vec(col, &[rows, k])
-}
-
-/// Allocation-free body of [`im2col3d`]: unrolls a raw `(N, C, D, H, W)`
-/// buffer into the caller-provided patch matrix. Fully overwrites `col`.
-///
-/// One owner per patch row — rows fan out over the bikecap-rt pool (this
-/// covers every output position: batch × time slice × spatial cell) and
-/// each is filled by the identical serial code, so the unrolled matrix is
-/// bitwise-identical at any thread count.
+/// The plan of an `x_shape ∗ w_shape` convolution, with the typed rank,
+/// channel and extent panics of the public ops.
 ///
 /// # Panics
 ///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn im2col3d_into(
-    x: &[f32],
-    input_dims: (usize, usize, usize, usize, usize),
-    kernel: (usize, usize, usize),
-    spec: Conv3dSpec,
-    col: &mut [f32],
-) {
-    let (n, c, d, h, w) = input_dims;
-    let (kd, kh, kw) = kernel;
-    let (od, oh, ow) = conv3d_out_dims((d, h, w), kernel, spec);
-    let (sd, sh, sw) = spec.stride;
-    let (pd, ph, pw) = spec.padding;
-    let k = c * kd * kh * kw;
-    let rows = n * od * oh * ow;
-    assert_eq!(x.len(), n * c * d * h * w, "im2col3d_into: input length mismatch");
-    assert_eq!(col.len(), rows * k, "im2col3d_into: col length mismatch");
-    let positions = od * oh * ow;
-    // Same total-work serial floor as col2im3d_into: the unroll is a
-    // gather with poor read locality, so below this floor the thread
-    // handoff costs more than the copy saves (BENCH_parallel.json showed
-    // conv3d at 0.675x on 4 threads before the cutover). One chunk runs
-    // inline; the fill is row-disjoint either way, so the cutover is pure
-    // performance, never numerics.
-    const SERIAL_MAX_WORK: usize = 1 << 20;
-    let total_work = rows * k;
-    let min_rows = if total_work <= SERIAL_MAX_WORK {
-        rows.max(1)
-    } else {
-        (crate::tensor::PAR_MIN_WORK / k.max(1)).max(1)
-    };
-    bikecap_rt::parallel_items_mut(col, k, min_rows, |row0, block| {
-        for (dr, dst) in block.chunks_mut(k).enumerate() {
-            let row = row0 + dr;
-            let bn = row / positions;
-            let rem = row % positions;
-            let zod = rem / (oh * ow);
-            let zoh = (rem / ow) % oh;
-            let zow = rem % ow;
-            let base_n = bn * c * d * h * w;
-            let mut ci = 0;
-            for cc in 0..c {
-                let base_c = base_n + cc * d * h * w;
-                for fkd in 0..kd {
-                    let id = (zod * sd + fkd) as isize - pd as isize;
-                    for fkh in 0..kh {
-                        let ih = (zoh * sh + fkh) as isize - ph as isize;
-                        let in_plane = id >= 0 && (id as usize) < d && ih >= 0 && (ih as usize) < h;
-                        let base_dh = if in_plane {
-                            base_c + (id as usize) * h * w + (ih as usize) * w
-                        } else {
-                            0
-                        };
-                        for fkw in 0..kw {
-                            let iw = (zow * sw + fkw) as isize - pw as isize;
-                            dst[ci] = if in_plane && iw >= 0 && (iw as usize) < w {
-                                x[base_dh + iw as usize]
-                            } else {
-                                0.0
-                            };
-                            ci += 1;
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Scatter-adds a patch matrix back into an input tensor (the adjoint of
-/// [`im2col3d`]).
-pub fn col2im3d(
-    col: &Tensor,
-    input_shape: &[usize],
-    kernel: (usize, usize, usize),
-    spec: Conv3dSpec,
-) -> Tensor {
-    let (n, c, d, h, w) = (
-        input_shape[0],
-        input_shape[1],
-        input_shape[2],
-        input_shape[3],
-        input_shape[4],
-    );
-    let (od, oh, ow) = conv3d_out_dims((d, h, w), kernel, spec);
-    let k = c * kernel.0 * kernel.1 * kernel.2;
+/// Panics if either shape is not rank 5, the channels disagree, the kernel
+/// exceeds the padded input, or a stride or kernel extent is zero.
+pub fn checked_plan(x_shape: &[usize], w_shape: &[usize], spec: Conv3dSpec) -> ConvPlan {
+    assert_eq!(x_shape.len(), 5, "conv3d expects a rank-5 (N, C, D, H, W) input, got {x_shape:?}");
     assert_eq!(
-        col.shape(),
-        &[n * od * oh * ow, k],
-        "col2im3d: column matrix shape mismatch"
+        w_shape.len(),
+        5,
+        "conv3d expects a rank-5 (C_out, C_in, KD, KH, KW) weight, got {w_shape:?}"
     );
-    let mut out = vec![0.0f32; n * c * d * h * w];
-    col2im3d_into(col.as_slice(), (n, c, d, h, w), kernel, spec, &mut out);
-    Tensor::from_vec(out, input_shape)
-}
-
-/// Allocation-free body of [`col2im3d`]: scatter-adds a patch matrix into
-/// the caller-provided `(N, C, D, H, W)` buffer. Zeroes `out` first (arena
-/// slabs are reused and may hold stale data).
-///
-/// Overlapping patches scatter-add into the *same* input cells, so rows
-/// cannot fan out freely; batch entries can — each owns a disjoint input
-/// slab, and within a slab the accumulation order is exactly the serial
-/// one. Deterministic at any thread count; single-sample grads stay on
-/// one chunk (and run inline).
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn col2im3d_into(
-    cdata: &[f32],
-    input_dims: (usize, usize, usize, usize, usize),
-    kernel: (usize, usize, usize),
-    spec: Conv3dSpec,
-    out: &mut [f32],
-) {
-    let (n, c, d, h, w) = input_dims;
-    let (kd, kh, kw) = kernel;
-    let (od, oh, ow) = conv3d_out_dims((d, h, w), kernel, spec);
-    let (sd, sh, sw) = spec.stride;
-    let (pd, ph, pw) = spec.padding;
-    let k = c * kd * kh * kw;
-    let positions = od * oh * ow;
-    let slab = c * d * h * w;
-    assert_eq!(cdata.len(), n * positions * k, "col2im3d_into: col length mismatch");
-    assert_eq!(out.len(), n * slab, "col2im3d_into: out length mismatch");
-    out.fill(0.0);
-    // The scatter-add writes each element once but reads the col matrix
-    // with poor locality, so the per-batch work that amortises a thread
-    // handoff is much larger than for the compute-bound kernels sharing
-    // PAR_MIN_WORK. Below this total-work floor the whole call stays on
-    // one chunk (which runs inline); serial and parallel orders are
-    // bitwise identical either way — disjoint batch slabs, serial
-    // accumulation within each — so the cutover is pure performance.
-    const SERIAL_MAX_WORK: usize = 1 << 20;
-    let total_work = n * positions * k;
-    let min_batches = if total_work <= SERIAL_MAX_WORK {
-        n.max(1)
-    } else {
-        (crate::tensor::PAR_MIN_WORK / (positions * k).max(1)).max(1)
-    };
-    bikecap_rt::parallel_items_mut(out, slab, min_batches, |bn0, block| {
-        for (db, out_b) in block.chunks_mut(slab).enumerate() {
-            let bn = bn0 + db;
-            let mut row = bn * positions;
-            for zod in 0..od {
-                for zoh in 0..oh {
-                    for zow in 0..ow {
-                        let src = &cdata[row * k..(row + 1) * k];
-                        let mut ci = 0;
-                        for cc in 0..c {
-                            let base_c = cc * d * h * w;
-                            for fkd in 0..kd {
-                                let id = (zod * sd + fkd) as isize - pd as isize;
-                                for fkh in 0..kh {
-                                    let ih = (zoh * sh + fkh) as isize - ph as isize;
-                                    let in_plane =
-                                        id >= 0 && (id as usize) < d && ih >= 0 && (ih as usize) < h;
-                                    let base_dh = if in_plane {
-                                        base_c + (id as usize) * h * w + (ih as usize) * w
-                                    } else {
-                                        0
-                                    };
-                                    for fkw in 0..kw {
-                                        let iw = (zow * sw + fkw) as isize - pw as isize;
-                                        if in_plane && iw >= 0 && (iw as usize) < w {
-                                            out_b[base_dh + iw as usize] += src[ci];
-                                        }
-                                        ci += 1;
-                                    }
-                                }
-                            }
-                        }
-                        row += 1;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Reorders `(N, C, OD, OH, OW)` into the row-per-position matrix
-/// `(N*OD*OH*OW, C)` used by the im2col formulation.
-fn to_position_matrix(t: &Tensor) -> Tensor {
-    let s = t.shape();
-    let (n, c, od, oh, ow) = (s[0], s[1], s[2], s[3], s[4]);
-    let p = od * oh * ow;
-    let mut out = vec![0.0f32; n * p * c];
-    to_position_matrix_into(t.as_slice(), n, c, p, &mut out);
-    Tensor::from_vec(out, &[n * p, c])
-}
-
-/// Allocation-free body of [`to_position_matrix`]: transposes `(N, C, P)`
-/// data into `(N*P, C)` rows. Fully overwrites `out`.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `n * c * p`.
-pub fn to_position_matrix_into(x: &[f32], n: usize, c: usize, p: usize, out: &mut [f32]) {
-    assert_eq!(x.len(), n * c * p, "to_position_matrix_into: input length mismatch");
-    assert_eq!(out.len(), n * p * c, "to_position_matrix_into: out length mismatch");
-    for bn in 0..n {
-        for cc in 0..c {
-            let src = &x[(bn * c + cc) * p..(bn * c + cc + 1) * p];
-            for (pos, &v) in src.iter().enumerate() {
-                out[(bn * p + pos) * c + cc] = v;
-            }
-        }
-    }
-}
-
-/// Inverse of [`to_position_matrix`].
-fn from_position_matrix(m: &Tensor, n: usize, c: usize, dims: (usize, usize, usize)) -> Tensor {
-    let p = dims.0 * dims.1 * dims.2;
-    assert_eq!(m.shape(), &[n * p, c], "from_position_matrix: shape mismatch");
-    let mut out = vec![0.0f32; n * c * p];
-    from_position_matrix_into(m.as_slice(), n, c, p, &mut out);
-    Tensor::from_vec(out, &[n, c, dims.0, dims.1, dims.2])
-}
-
-/// Allocation-free body of [`from_position_matrix`]: transposes `(N*P, C)`
-/// rows back into `(N, C, P)` layout. Fully overwrites `out`.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `n * c * p`.
-pub fn from_position_matrix_into(x: &[f32], n: usize, c: usize, p: usize, out: &mut [f32]) {
-    assert_eq!(x.len(), n * p * c, "from_position_matrix_into: input length mismatch");
-    assert_eq!(out.len(), n * c * p, "from_position_matrix_into: out length mismatch");
-    for bn in 0..n {
-        for pos in 0..p {
-            let src = &x[(bn * p + pos) * c..(bn * p + pos + 1) * c];
-            for (cc, &v) in src.iter().enumerate() {
-                out[(bn * c + cc) * p + pos] = v;
-            }
-        }
-    }
+    let (c_in, wc_in) = (x_shape[1], w_shape[1]);
+    assert_eq!(
+        c_in, wc_in,
+        "conv3d: input channels {c_in} do not match weight channels {wc_in}"
+    );
+    // Panics with the offending extents when the kernel overhangs.
+    conv3d_out_dims(
+        (x_shape[2], x_shape[3], x_shape[4]),
+        (w_shape[2], w_shape[3], w_shape[4]),
+        spec,
+    );
+    plan_conv3d(x_shape, w_shape, spec).unwrap_or_else(|| {
+        panic!("conv3d: zero stride or kernel extent in {spec:?}, kernel {w_shape:?}")
+    })
 }
 
 /// 3-D convolution forward pass.
@@ -379,17 +155,10 @@ pub fn from_position_matrix_into(x: &[f32], n: usize, c: usize, p: usize, out: &
 /// Panics on rank or channel mismatches, or if the kernel exceeds the padded
 /// input.
 pub fn conv3d(input: &Tensor, weight: &Tensor, spec: Conv3dSpec) -> Tensor {
-    let (n, c_in, d, h, w) = check_input5(input);
-    let (c_out, wc_in, kd, kh, kw) = check_weight5(weight);
-    assert_eq!(
-        c_in, wc_in,
-        "conv3d: input channels {c_in} do not match weight channels {wc_in}"
-    );
-    let dims = conv3d_out_dims((d, h, w), (kd, kh, kw), spec);
-    let col = im2col3d(input, (kd, kh, kw), spec);
-    let w2 = weight.reshape(&[c_out, c_in * kd * kh * kw]);
-    let out_mat = col.matmul(&w2.transpose2d());
-    let out = from_position_matrix(&out_mat, n, c_out, dims);
+    let plan = checked_plan(input.shape(), weight.shape(), spec);
+    let mut out = vec![0.0f32; plan.out_len()];
+    conv3d_into(&plan, input.as_slice(), weight.as_slice(), &mut out);
+    let out = Tensor::from_vec(out, &plan.out_shape());
     out.debug_assert_finite("conv3d");
     out
 }
@@ -409,17 +178,17 @@ pub fn conv3d_backward_input(
     spec: Conv3dSpec,
 ) -> Tensor {
     let (n, c_out, _, _, _) = check_input5(grad_out);
-    let (wc_out, c_in, kd, kh, kw) = check_weight5(weight);
+    let (wc_out, c_in, _, _, _) = check_weight5(weight);
     assert_eq!(c_out, wc_out, "conv3d_backward_input: channel mismatch");
-    let g_mat = to_position_matrix(grad_out);
-    let w2 = weight.reshape(&[c_out, c_in * kd * kh * kw]);
-    let g_col = g_mat.matmul(&w2);
-    let out = col2im3d(
-        &g_col,
-        &[n, c_in, in_dims.0, in_dims.1, in_dims.2],
-        (kd, kh, kw),
-        spec,
+    let plan = checked_plan(&[n, c_in, in_dims.0, in_dims.1, in_dims.2], weight.shape(), spec);
+    assert_eq!(
+        grad_out.shape(),
+        &plan.out_shape(),
+        "conv3d_backward_input: gradient shape does not match the convolution"
     );
+    let mut out = vec![0.0f32; plan.x_len()];
+    conv3d_dx_into(&plan, grad_out.as_slice(), weight.as_slice(), &mut out);
+    let out = Tensor::from_vec(out, &plan.x_shape());
     out.debug_assert_finite("conv3d_backward_input");
     out
 }
@@ -437,10 +206,16 @@ pub fn conv3d_backward_weight(
 ) -> Tensor {
     let (_, c_in, _, _, _) = check_input5(input);
     let (_, c_out, _, _, _) = check_input5(grad_out);
-    let col = im2col3d(input, kernel, spec);
-    let g_mat = to_position_matrix(grad_out);
-    let grad_w = g_mat.transpose2d().matmul(&col);
-    let out = grad_w.reshape(&[c_out, c_in, kernel.0, kernel.1, kernel.2]);
+    let w_shape = [c_out, c_in, kernel.0, kernel.1, kernel.2];
+    let plan = checked_plan(input.shape(), &w_shape, spec);
+    assert_eq!(
+        grad_out.shape(),
+        &plan.out_shape(),
+        "conv3d_backward_weight: gradient shape does not match the convolution"
+    );
+    let mut out = vec![0.0f32; plan.w_len()];
+    conv3d_dw_into(&plan, grad_out.as_slice(), input.as_slice(), &mut out);
+    let out = Tensor::from_vec(out, &w_shape);
     out.debug_assert_finite("conv3d_backward_weight");
     out
 }
@@ -581,7 +356,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Direct six-loop reference convolution used to validate the im2col path.
+    /// Direct six-loop reference convolution used to validate the fused kernels.
     fn conv3d_reference(input: &Tensor, weight: &Tensor, spec: Conv3dSpec) -> Tensor {
         let (n, c_in, d, h, w) = {
             let s = input.shape();
@@ -831,17 +606,18 @@ mod tests {
     }
 
     #[test]
-    fn im2col_col2im_adjoint() {
+    fn strided_padded_backward_input_is_adjoint_of_forward() {
         let mut rng = StdRng::seed_from_u64(10);
         let spec = Conv3dSpec {
             stride: (1, 2, 1),
             padding: (1, 0, 1),
         };
         let x = Tensor::randn(&[1, 2, 3, 4, 4], 0.0, 1.0, &mut rng);
-        let col = im2col3d(&x, (3, 2, 3), spec);
-        let y = Tensor::randn(col.shape(), 0.0, 1.0, &mut rng);
-        let back = col2im3d(&y, x.shape(), (3, 2, 3), spec);
-        let lhs = dot(&col, &y);
+        let w = Tensor::randn(&[3, 2, 3, 2, 3], 0.0, 1.0, &mut rng);
+        let z = conv3d(&x, &w, spec);
+        let y = Tensor::randn(z.shape(), 0.0, 1.0, &mut rng);
+        let back = conv3d_backward_input(&y, &w, (3, 4, 4), spec);
+        let lhs = dot(&z, &y);
         let rhs = dot(&x, &back);
         assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0));
     }

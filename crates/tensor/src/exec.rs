@@ -14,6 +14,9 @@
 //! `reduce_sum_into`) zero it first, because arena slabs are reused across
 //! steps and may hold stale data. All others write every output element.
 
+use std::ops::Range;
+
+use crate::conv::Conv3dSpec;
 use crate::shape::{broadcast_shapes, broadcast_strides, num_elements, strides_for};
 use crate::tensor::PAR_MIN_WORK;
 
@@ -1351,6 +1354,607 @@ pub fn pyramid_conv_dw_into(plan: &PyramidPlan, grad: &[f32], x: &[f32], out: &m
                     total += l;
                 }
                 wblock[win.tap] = total;
+            }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
+// Convolution
+// ---------------------------------------------------------------------
+
+/// One spatial axis of a [`ConvPlan`]: input extent `n`, output extent
+/// `m`, stride `s` and zero padding `p`. Output index `z` at kernel offset
+/// `f` reads input index `z·s + f − p`.
+#[derive(Debug, Clone, Copy)]
+struct ConvAxis {
+    n: usize,
+    m: usize,
+    s: usize,
+    p: usize,
+}
+
+impl ConvAxis {
+    /// The input index output `z` reads at kernel offset `f`, if in bounds.
+    #[inline(always)]
+    fn input(self, z: usize, f: usize) -> Option<usize> {
+        (z * self.s + f).checked_sub(self.p).filter(|&i| i < self.n)
+    }
+
+    /// The output index whose offset-`f` tap reads input `i`, if any.
+    #[inline(always)]
+    fn output(self, i: usize, f: usize) -> Option<usize> {
+        let t = (i + self.p).checked_sub(f)?;
+        let z = if self.s == 1 {
+            t
+        } else if t % self.s == 0 {
+            t / self.s
+        } else {
+            return None;
+        };
+        (z < self.m).then_some(z)
+    }
+
+    /// The output indices whose offset-`f` taps are in bounds.
+    #[inline(always)]
+    fn span(self, f: usize) -> Range<usize> {
+        if self.s == 1 {
+            let hi = (self.n + self.p).saturating_sub(f).min(self.m);
+            return self.p.saturating_sub(f).min(hi)..hi;
+        }
+        let lo = self.p.saturating_sub(f).div_ceil(self.s);
+        let hi = match (self.n + self.p).checked_sub(f + 1) {
+            Some(last) => (last / self.s + 1).min(self.m),
+            None => 0,
+        };
+        lo.min(hi)..hi
+    }
+}
+
+/// Pre-resolved geometry of a 3-D convolution: input `x (B, C_in, D, H,
+/// W)`, weight `w (C_out, C_in, KD, KH, KW)`, output `(B, C_out, OD, OH,
+/// OW)`, under the stride and zero padding of a [`Conv3dSpec`].
+///
+/// The three kernels over it — [`conv3d_into`], [`conv3d_dx_into`] and
+/// [`conv3d_dw_into`] — read input taps where they lie instead of
+/// unrolling a patch matrix, and every output element accumulates in
+/// exactly the order the im2col / col2im + GEMM composition used, so each
+/// is bitwise equal to it for finite operands (DESIGN.md Appendix M). A
+/// transposed convolution is the input adjoint of the convolution it
+/// transposes: it runs [`conv3d_dx_into`] over that convolution's plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvPlan {
+    batch: usize,
+    c_in: usize,
+    c_out: usize,
+    in_dims: (usize, usize, usize),
+    kernel: (usize, usize, usize),
+    out_dims: (usize, usize, usize),
+    spec: Conv3dSpec,
+}
+
+/// Plans the convolution of `x (B, C_in, D, H, W)` with `w (C_out, C_in,
+/// KD, KH, KW)` under `spec`; `None` when the ranks or channels disagree, a
+/// stride or kernel extent is zero, or the kernel exceeds the padded input
+/// on some axis.
+pub fn plan_conv3d(x: &[usize], w: &[usize], spec: Conv3dSpec) -> Option<ConvPlan> {
+    let &[batch, c_in, d, h, wd] = x else {
+        return None;
+    };
+    let &[c_out, wc_in, kd, kh, kw] = w else {
+        return None;
+    };
+    let extent = |n: usize, k: usize, s: usize, p: usize| {
+        (s > 0 && k > 0 && n + 2 * p >= k).then(|| (n + 2 * p - k) / s + 1)
+    };
+    let (sd, sh, sw) = spec.stride;
+    let (pd, ph, pw) = spec.padding;
+    let out_dims = (extent(d, kd, sd, pd)?, extent(h, kh, sh, ph)?, extent(wd, kw, sw, pw)?);
+    (wc_in == c_in).then_some(ConvPlan {
+        batch,
+        c_in,
+        c_out,
+        in_dims: (d, h, wd),
+        kernel: (kd, kh, kw),
+        out_dims,
+        spec,
+    })
+}
+
+impl ConvPlan {
+    /// Batch size `B`.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Input channels `C_in`.
+    pub fn c_in(&self) -> usize {
+        self.c_in
+    }
+
+    /// Output channels `C_out`.
+    pub fn c_out(&self) -> usize {
+        self.c_out
+    }
+
+    /// Input extents `(D, H, W)`.
+    pub fn in_dims(&self) -> (usize, usize, usize) {
+        self.in_dims
+    }
+
+    /// Kernel extents `(KD, KH, KW)`.
+    pub fn kernel(&self) -> (usize, usize, usize) {
+        self.kernel
+    }
+
+    /// Output extents `(OD, OH, OW)`.
+    pub fn out_dims(&self) -> (usize, usize, usize) {
+        self.out_dims
+    }
+
+    /// The input's shape, `(B, C_in, D, H, W)`.
+    pub fn x_shape(&self) -> [usize; 5] {
+        let (d, h, w) = self.in_dims;
+        [self.batch, self.c_in, d, h, w]
+    }
+
+    /// The weight's shape, `(C_out, C_in, KD, KH, KW)`.
+    pub fn w_shape(&self) -> [usize; 5] {
+        let (kd, kh, kw) = self.kernel;
+        [self.c_out, self.c_in, kd, kh, kw]
+    }
+
+    /// The output's shape, `(B, C_out, OD, OH, OW)`.
+    pub fn out_shape(&self) -> [usize; 5] {
+        let (od, oh, ow) = self.out_dims;
+        [self.batch, self.c_out, od, oh, ow]
+    }
+
+    /// Scalars in the input.
+    pub fn x_len(&self) -> usize {
+        num_elements(&self.x_shape())
+    }
+
+    /// Scalars in the weight.
+    pub fn w_len(&self) -> usize {
+        num_elements(&self.w_shape())
+    }
+
+    /// Scalars in the output.
+    pub fn out_len(&self) -> usize {
+        num_elements(&self.out_shape())
+    }
+
+    /// Patch length `K = C_in·KD·KH·KW`: the taps behind one output element.
+    pub fn patch_len(&self) -> usize {
+        self.c_in * self.kernel.0 * self.kernel.1 * self.kernel.2
+    }
+
+    /// Output positions per sample, `OD·OH·OW`.
+    pub fn positions(&self) -> usize {
+        self.out_dims.0 * self.out_dims.1 * self.out_dims.2
+    }
+
+    fn axes(&self) -> [ConvAxis; 3] {
+        let (n, m, s, p) = (self.in_dims, self.out_dims, self.spec.stride, self.spec.padding);
+        [
+            ConvAxis { n: n.0, m: m.0, s: s.0, p: p.0 },
+            ConvAxis { n: n.1, m: m.1, s: s.1, p: p.1 },
+            ConvAxis { n: n.2, m: m.2, s: s.2, p: p.2 },
+        ]
+    }
+
+    /// Kernel rows `(c_in, kd, kh)` in the patch: `K / KW`.
+    fn kernel_rows(&self) -> usize {
+        self.c_in * self.kernel.0 * self.kernel.1
+    }
+
+    /// Kernel row `r` as its `(c_in, kd, kh)` coordinates.
+    fn kernel_row(&self, r: usize) -> KernelRow {
+        let (kd, kh, _) = self.kernel;
+        KernelRow {
+            ci: r / (kd * kh),
+            fd: (r / kh) % kd,
+            fh: r % kh,
+        }
+    }
+
+    /// Calls `f(column, tap)` for every in-bounds input tap of `rows`
+    /// kernel rows from `start`, behind output position `pos = (od, oh,
+    /// ow)` of sample `b`: a slice of its im2col patch row, read in place,
+    /// in ascending column order (`column` counts from `start`'s first
+    /// column). Padding taps are skipped.
+    #[inline(always)]
+    fn for_each_tap(
+        &self,
+        x: &[f32],
+        b: usize,
+        pos: (usize, usize, usize),
+        start: KernelRow,
+        rows: usize,
+        mut f: impl FnMut(usize, f32),
+    ) {
+        let [ad, ah, aw] = self.axes();
+        let (d, h, wd) = self.in_dims;
+        let (kd, kh, kw) = self.kernel;
+        // Kernel column fw reads input column w0 + fw − p: in bounds for
+        // fw in [fw_lo, fw_hi), the same for every kernel row.
+        let w0 = pos.2 * aw.s;
+        let fw_lo = aw.p.saturating_sub(w0).min(kw);
+        let fw_hi = (wd + aw.p).saturating_sub(w0).min(kw);
+        if fw_lo >= fw_hi {
+            return;
+        }
+        let mut row = start;
+        for r in 0..rows {
+            if let (Some(id), Some(ih)) = (ad.input(pos.0, row.fd), ah.input(pos.1, row.fh)) {
+                let xrow = &x[(((b * self.c_in + row.ci) * d + id) * h + ih) * wd..][..wd];
+                for (fw, &v) in (fw_lo..).zip(&xrow[w0 + fw_lo - aw.p..w0 + fw_hi - aw.p]) {
+                    f(r * kw + fw, v);
+                }
+            }
+            row.advance(kd, kh);
+        }
+    }
+
+    /// Writes kernel rows `rows` of the im2col patch row behind output
+    /// position `pos = (od, oh, ow)` of sample `b` into `dst`: `KW` values
+    /// per kernel row `(c_in, kd, kh)`, in ascending `(c_in, kd, kh, kw)`
+    /// order, `0.0` where a tap falls in the padding. Callers gather a
+    /// bounded slice of one row at a time into a stack buffer; nothing
+    /// materialises the patch matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` runs past the patch or `dst` is not
+    /// `rows.len()·KW` long.
+    pub fn patch_rows_into(
+        &self,
+        x: &[f32],
+        b: usize,
+        pos: (usize, usize, usize),
+        rows: Range<usize>,
+        dst: &mut [f32],
+    ) {
+        assert!(rows.end <= self.kernel_rows(), "patch_rows_into: rows past the patch");
+        assert_eq!(dst.len(), rows.len() * self.kernel.2, "patch_rows_into: dst length mismatch");
+        dst.fill(0.0);
+        self.for_each_tap(x, b, pos, self.kernel_row(rows.start), rows.len(), |kk, v| dst[kk] = v);
+    }
+}
+
+/// A kernel row `(c_in, kd, kh)` of the patch: `KW` consecutive columns.
+#[derive(Debug, Clone, Copy)]
+struct KernelRow {
+    ci: usize,
+    fd: usize,
+    fh: usize,
+}
+
+impl KernelRow {
+    /// Steps to the next kernel row of a `(KD, KH)` kernel.
+    #[inline(always)]
+    fn advance(&mut self, kd: usize, kh: usize) {
+        self.fh += 1;
+        if self.fh == kh {
+            self.fh = 0;
+            self.fd += 1;
+            if self.fd == kd {
+                self.fd = 0;
+                self.ci += 1;
+            }
+        }
+    }
+}
+
+/// Transposed-weight (forward) or weight-gradient (`dW`) floats per stack
+/// tile of the lane kernels (16 KiB).
+const WT_TILE: usize = 4096;
+
+/// Output positions per accumulator tile of [`conv3d_into`].
+const POS_TILE: usize = 64;
+
+/// The convolution forward into `out (B, C_out, OD, OH, OW)`. Fully
+/// overwrites `out`.
+///
+/// An implicit GEMM vectorised over `C_out`: each output position walks its
+/// in-bounds input taps in ascending `(c_in, kd, kh, kw)` order — its im2col
+/// patch row, read in place — and multiply-adds each tap into an
+/// accumulator of `L ∈ {4, 8, 16}` output-channel lanes, against a
+/// transposed-weight tile on the stack. That is the i-k-j loop of the
+/// im2col GEMM row by row: every element sums from `+0.0` in the patch
+/// order. The GEMM skipped zero patch entries (padding included); the walk
+/// skips only padding, and a zero tap adds a signed zero to an accumulator
+/// that is never `-0.0`, which leaves it unchanged — so for finite
+/// operands the result is bitwise that GEMM's, with no data-dependent
+/// branch in the inner loop. Output positions are the parallel
+/// unit ([`bikecap_rt::parallel_columns_mut`] over the `(B·C_out,
+/// OD·OH·OW)` output), so a single sample still fans out. Wide channel
+/// counts run `L` channels at a time; patches longer than a tile run a
+/// tile of kernel rows at a time, the partial sums parked in `out` between
+/// tiles.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the plan, or if one kernel row
+/// (`KW`) does not fit a [`WT_TILE`] tile at 16 lanes.
+pub fn conv3d_into(plan: &ConvPlan, x: &[f32], w: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), plan.x_len(), "conv3d_into: x length mismatch");
+    assert_eq!(w.len(), plan.w_len(), "conv3d_into: w length mismatch");
+    assert_eq!(out.len(), plan.out_len(), "conv3d_into: out length mismatch");
+    match plan.c_out {
+        0..=4 => conv3d_lanes::<4>(plan, x, w, out),
+        5..=8 => conv3d_lanes::<8>(plan, x, w, out),
+        _ => conv3d_lanes::<16>(plan, x, w, out),
+    }
+}
+
+/// [`conv3d_into`] at `L` output-channel lanes.
+fn conv3d_lanes<const L: usize>(plan: &ConvPlan, x: &[f32], w: &[f32], out: &mut [f32]) {
+    let (k, c_out, kw) = (plan.patch_len(), plan.c_out, plan.kernel.2);
+    let (_, oh, ow) = plan.out_dims;
+    let rows = plan.kernel_rows();
+    let tile_rows = (WT_TILE / (L * kw).max(1)).clamp(1, rows.max(1));
+    assert!(
+        tile_rows * kw * L <= WT_TILE,
+        "conv3d_into: kernel width {kw} exceeds the weight tile"
+    );
+    let min_cols = (PAR_MIN_WORK / (plan.batch * k * c_out).max(1)).max(1);
+    bikecap_rt::parallel_columns_mut(out, plan.positions(), min_cols, |mut block| {
+        let cols = block.cols();
+        let mut wt = [0.0f32; WT_TILE];
+        let mut tile = [[0.0f32; L]; POS_TILE];
+        for co0 in (0..c_out).step_by(L) {
+            let lanes = L.min(c_out - co0);
+            for r0 in (0..rows).step_by(tile_rows) {
+                let (k0, nk) = (r0 * kw, tile_rows.min(rows - r0) * kw);
+                // wt[kk·L + j] = w[co0 + j, k0 + kk]; unused lanes stay 0.
+                let wt = &mut wt[..nk * L];
+                wt.fill(0.0);
+                for (j, wrow) in w[co0 * k..(co0 + lanes) * k].chunks_exact(k).enumerate() {
+                    for (t, &wv) in wt.chunks_exact_mut(L).zip(&wrow[k0..k0 + nk]) {
+                        t[j] = wv;
+                    }
+                }
+                let start = plan.kernel_row(r0);
+                for b in 0..plan.batch {
+                    let row0 = b * c_out + co0;
+                    for c0 in (0..cols.len()).step_by(POS_TILE) {
+                        let tile = &mut tile[..POS_TILE.min(cols.len() - c0)];
+                        let n = tile.len();
+                        for (j, row) in (row0..row0 + lanes).enumerate() {
+                            for (acc, &o) in tile.iter_mut().zip(&block.row(row)[c0..c0 + n]) {
+                                acc[j] = if r0 == 0 { 0.0 } else { o };
+                            }
+                        }
+                        for (at, acc) in (cols.start + c0..).zip(tile.iter_mut()) {
+                            let pos = (at / (oh * ow), (at / ow) % oh, at % ow);
+                            plan.for_each_tap(x, b, pos, start, nk / kw, |kk, v| {
+                                for (a, &wv) in acc.iter_mut().zip(&wt[kk * L..kk * L + L]) {
+                                    *a += v * wv;
+                                }
+                            });
+                        }
+                        for (j, row) in (row0..row0 + lanes).enumerate() {
+                            for (o, acc) in block.row(row)[c0..c0 + n].iter_mut().zip(tile.iter()) {
+                                *o = acc[j];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Output columns per channel-sum tile of [`conv3d_dx_into`].
+const DX_LANES: usize = 8;
+
+/// `DX_LANES` values from the front of `s`, zero-padded past its end.
+#[inline(always)]
+fn load_lanes(s: &[f32]) -> [f32; DX_LANES] {
+    if s.len() >= DX_LANES {
+        return std::array::from_fn(|i| s[i]);
+    }
+    let mut v = [0.0f32; DX_LANES];
+    for (l, &x) in v.iter_mut().zip(s) {
+        *l = x;
+    }
+    v
+}
+
+/// The input adjoint `dX` of [`conv3d_into`] from the output gradient
+/// `grad (B, C_out, OD, OH, OW)` into `out (B, C_in, D, H, W)`: the
+/// transposed convolution of `grad`. Fully overwrites `out`.
+///
+/// Each input plane `(b, c_in, d)` has one owner. It walks the taps in
+/// descending `(kd, kh, kw)` order; per tap and output row it sums the
+/// channel terms `Σ_{c_out} grad·w` from `+0.0` in ascending `c_out` over
+/// [`DX_LANES`] output columns at a time (in registers, reading `grad`
+/// rows in place), then adds each in-bounds term into the input element
+/// the tap maps it to. An input element thus gets one term per output
+/// position that reads it, in ascending position order — descending tap
+/// order is ascending position — and each term is complete before it is
+/// added: the GEMM-then-col2im order (the GEMM row of a position sums over
+/// `c_out` first; col2im scatters the rows in ascending position order).
+/// Lanes past a row's in-bounds span are computed and dropped.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the plan.
+pub fn conv3d_dx_into(plan: &ConvPlan, grad: &[f32], w: &[f32], out: &mut [f32]) {
+    assert_eq!(grad.len(), plan.out_len(), "conv3d_dx_into: grad length mismatch");
+    assert_eq!(w.len(), plan.w_len(), "conv3d_dx_into: w length mismatch");
+    assert_eq!(out.len(), plan.x_len(), "conv3d_dx_into: out length mismatch");
+    let [ad, ah, aw] = plan.axes();
+    let (c_in, c_out) = (plan.c_in, plan.c_out);
+    let (d, h, wd) = plan.in_dims;
+    let (kd, kh, kw) = plan.kernel;
+    let (_, oh, ow) = plan.out_dims;
+    let (positions, taps) = (plan.positions(), kd * kh * kw);
+    let min_planes = (PAR_MIN_WORK / (c_out * taps * h * wd).max(1)).max(1);
+    bikecap_rt::parallel_items_mut(out, h * wd, min_planes, |p0, planes| {
+        for (dp, xplane) in planes.chunks_mut(h * wd).enumerate() {
+            let pi = p0 + dp;
+            let (id, ci, b) = (pi % d, (pi / d) % c_in, pi / (d * c_in));
+            xplane.fill(0.0);
+            for fd in (0..kd).rev() {
+                let Some(zd) = ad.output(id, fd) else { continue };
+                let g0 = b * c_out * positions + zd * oh * ow;
+                for fh in (0..kh).rev() {
+                    for fw in (0..kw).rev() {
+                        let tap = (fd * kh + fh) * kw + fw;
+                        let zws = aw.span(fw);
+                        if zws.is_empty() {
+                            continue;
+                        }
+                        for zh in ah.span(fh) {
+                            let ih = zh * ah.s + fh - ah.p;
+                            let xrow = &mut xplane[ih * wd..(ih + 1) * wd];
+                            let grow0 = g0 + zh * ow;
+                            let first = zws.start - zws.start % DX_LANES;
+                            for z0 in (first..zws.end).step_by(DX_LANES) {
+                                let mut terms = [0.0f32; DX_LANES];
+                                for co in 0..c_out {
+                                    let wv = w[(co * c_in + ci) * taps + tap];
+                                    let g0 = grow0 + co * positions + z0;
+                                    let g = load_lanes(&grad[g0..g0 + DX_LANES.min(ow - z0)]);
+                                    for (t, &gv) in terms.iter_mut().zip(&g) {
+                                        *t += gv * wv;
+                                    }
+                                }
+                                let (lo, hi) = (zws.start.max(z0), zws.end.min(z0 + DX_LANES));
+                                for (zw, &t) in (lo..hi).zip(&terms[lo - z0..]) {
+                                    xrow[zw * aw.s + fw - aw.p] += t;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Parallel `dW` chunks per call, at most: each chunk walks every output
+/// position, so wider chunks amortise that walk over more columns.
+const DW_CHUNKS: usize = 4;
+
+/// Output columns per gradient tile of [`conv3d_dw_into`].
+const DW_ROW_TILE: usize = 64;
+
+/// The weight adjoint `dW` of [`conv3d_into`] from the output gradient
+/// `grad (B, C_out, OD, OH, OW)` and the input `x` into `out (C_out, C_in,
+/// KD, KH, KW)`. Fully overwrites `out`.
+///
+/// `out` is the `(C_out, K)` product `gradᵀ × col` of the patch-matrix
+/// path, and it keeps that product's order: every element sums from `+0.0`
+/// over the output positions in ascending `(b, od, oh, ow)` order, one
+/// serial accumulator each — no element's sum is split. The vector lanes
+/// run across `L ∈ {4, 8, 16}` output channels instead. Per output row,
+/// the row's gradients are staged as `(OW, L)` lanes on the stack; then
+/// each in-bounds kernel tap loads its `L` accumulators once, multiply-adds
+/// the whole row's taps into them in ascending `ow`, and stores them back
+/// into a transposed `(K, L)` tile that is written to `out` at the end.
+/// The GEMM skipped zero gradients and added zero products for padding
+/// taps; both only ever add a signed zero to an accumulator that is never
+/// `-0.0`, so for finite operands the sums are bitwise equal. Parallel
+/// chunks own whole kernel rows of all `C_out` rows
+/// ([`bikecap_rt::parallel_columns_mut`]).
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the plan, or if one kernel row
+/// (`KW`) does not fit a [`WT_TILE`] tile at 16 lanes.
+pub fn conv3d_dw_into(plan: &ConvPlan, grad: &[f32], x: &[f32], out: &mut [f32]) {
+    assert_eq!(grad.len(), plan.out_len(), "conv3d_dw_into: grad length mismatch");
+    assert_eq!(x.len(), plan.x_len(), "conv3d_dw_into: x length mismatch");
+    assert_eq!(out.len(), plan.w_len(), "conv3d_dw_into: out length mismatch");
+    match plan.c_out {
+        0..=4 => conv3d_dw_lanes::<4>(plan, grad, x, out),
+        5..=8 => conv3d_dw_lanes::<8>(plan, grad, x, out),
+        _ => conv3d_dw_lanes::<16>(plan, grad, x, out),
+    }
+}
+
+/// [`conv3d_dw_into`] at `L` output-channel lanes.
+fn conv3d_dw_lanes<const L: usize>(plan: &ConvPlan, grad: &[f32], x: &[f32], out: &mut [f32]) {
+    let [ad, ah, aw] = plan.axes();
+    let (c_in, c_out, positions) = (plan.c_in, plan.c_out, plan.positions());
+    let (d, h, wd) = plan.in_dims;
+    let (kd, kh, kw) = plan.kernel;
+    let (od, oh, ow) = plan.out_dims;
+    let rows = plan.kernel_rows();
+    let tile_rows = (WT_TILE / (L * kw).max(1)).max(1);
+    assert!(tile_rows * kw * L <= WT_TILE, "conv3d_dw_into: kernel width {kw} exceeds the tile");
+    // Chunks of whole kernel rows: a column count that is a multiple of KW
+    // and no smaller than the ChunkPlan's own floor, so it is used as is.
+    let per_row = plan.batch * positions * c_out * kw;
+    let chunk_rows = (PAR_MIN_WORK / per_row.max(1))
+        .max(rows.div_ceil(DW_CHUNKS))
+        .max(rows.div_ceil(bikecap_rt::MAX_CHUNKS));
+    bikecap_rt::parallel_columns_mut(out, plan.patch_len(), chunk_rows * kw, |mut block| {
+        let cols = block.cols();
+        let (first, last) = (cols.start / kw.max(1), cols.end / kw.max(1));
+        let mut tile = [0.0f32; WT_TILE];
+        let mut gl = [[0.0f32; L]; DW_ROW_TILE];
+        for co0 in (0..c_out).step_by(L) {
+            let lanes = L.min(c_out - co0);
+            for r0 in (first..last).step_by(tile_rows) {
+                let nr = tile_rows.min(last - r0);
+                let acc = &mut tile[..nr * kw * L];
+                acc.fill(0.0);
+                let start = plan.kernel_row(r0);
+                for b in 0..plan.batch {
+                    let gb = (b * c_out + co0) * positions;
+                    for zd in 0..od {
+                        for zh in 0..oh {
+                            for z0 in (0..ow).step_by(DW_ROW_TILE) {
+                                let zn = DW_ROW_TILE.min(ow - z0);
+                                let g0 = gb + (zd * oh + zh) * ow + z0;
+                                for j in 0..lanes {
+                                    let grow = &grad[g0 + j * positions..][..zn];
+                                    for (g, &gv) in gl.iter_mut().zip(grow) {
+                                        g[j] = gv;
+                                    }
+                                }
+                                let mut row = start;
+                                for r in 0..nr {
+                                    let id = ad.input(zd, row.fd);
+                                    if let (Some(id), Some(ih)) = (id, ah.input(zh, row.fh)) {
+                                        let x0 = (((b * c_in + row.ci) * d + id) * h + ih) * wd;
+                                        let xrow = &x[x0..x0 + wd];
+                                        for fw in 0..kw {
+                                            let zs = aw.span(fw);
+                                            let (lo, hi) = (zs.start.max(z0), zs.end.min(z0 + zn));
+                                            if lo >= hi {
+                                                continue;
+                                            }
+                                            let a = &mut acc[(r * kw + fw) * L..][..L];
+                                            let mut av = [0.0f32; L];
+                                            av.copy_from_slice(a);
+                                            for (zw, g) in (lo..hi).zip(&gl[lo - z0..]) {
+                                                let v = xrow[zw * aw.s + fw - aw.p];
+                                                for (s, &gv) in av.iter_mut().zip(g) {
+                                                    *s += gv * v;
+                                                }
+                                            }
+                                            a.copy_from_slice(&av);
+                                        }
+                                    }
+                                    row.advance(kd, kh);
+                                }
+                            }
+                        }
+                    }
+                }
+                let c0 = r0 * kw - cols.start;
+                for j in 0..lanes {
+                    let row = &mut block.row(co0 + j)[c0..c0 + nr * kw];
+                    for (o, a) in row.iter_mut().zip(acc.chunks_exact(L)) {
+                        *o = a[j];
+                    }
+                }
             }
         }
     });

@@ -242,7 +242,6 @@ fn check_structure(view: &PlanView, out: &mut Vec<Violation>) -> bool {
             ok = false;
         }
     }
-    drop(slot_ok);
     out.append(&mut bad_free_from);
     ok
 }
@@ -324,15 +323,15 @@ fn check_bounds(view: &PlanView, out: &mut Vec<Violation>) {
 /// to the end.
 fn check_temporal(view: &PlanView, out: &mut Vec<Violation>) {
     let n = view.slabs.len();
-    // Per slot: write events (step, scratch) and read steps, in order.
-    let mut writes: Vec<Vec<(usize, bool)>> = vec![Vec::new(); n];
+    // Per slot: write steps and read steps, in order.
+    let mut writes: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut reads: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, step) in view.steps.iter().enumerate() {
         for a in &step.reads {
             reads[a.slot].push(i);
         }
         for a in &step.writes {
-            writes[a.slot].push((i, a.scratch));
+            writes[a.slot].push(i);
         }
     }
     // The caller reads the output after the last step.
@@ -341,7 +340,7 @@ fn check_temporal(view: &PlanView, out: &mut Vec<Violation>) {
     for slot in 0..n {
         let role = view.slabs[slot].role;
         if role != SlabRole::Working {
-            if let Some(&(step, _)) = writes[slot].first() {
+            if let Some(&step) = writes[slot].first() {
                 out.push(Violation {
                     invariant: Invariant::Schedule,
                     step: Some(step),
@@ -356,7 +355,7 @@ fn check_temporal(view: &PlanView, out: &mut Vec<Violation>) {
         // previous occupation (kernels are not in-place safe).
         let mut last_read = vec![None::<usize>; writes[slot].len()];
         for &r in &reads[slot] {
-            let occ = writes[slot].partition_point(|&(w, _)| w < r);
+            let occ = writes[slot].partition_point(|&w| w < r);
             if occ == 0 {
                 out.push(Violation {
                     invariant: Invariant::Schedule,
@@ -370,8 +369,7 @@ fn check_temporal(view: &PlanView, out: &mut Vec<Violation>) {
             }
         }
         for (occ, win) in writes[slot].windows(2).enumerate() {
-            let (born, _) = win[0];
-            let (next, _) = win[1];
+            let (born, next) = (win[0], win[1]);
             if last_read[occ].is_some_and(|r| next <= r) {
                 out.push(Violation {
                     invariant: Invariant::SlabOverlap,
@@ -385,8 +383,8 @@ fn check_temporal(view: &PlanView, out: &mut Vec<Violation>) {
                 });
             }
         }
-        for (occ, &(born, scratch)) in writes[slot].iter().enumerate() {
-            if last_read[occ].is_none() && !scratch {
+        for (occ, &born) in writes[slot].iter().enumerate() {
+            if last_read[occ].is_none() {
                 out.push(Violation {
                     invariant: Invariant::RefcountBalance,
                     step: Some(born),
