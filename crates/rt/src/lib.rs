@@ -50,7 +50,7 @@ use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread;
 
 /// The failpoint checked once per chunk on the execution path (DESIGN.md
@@ -378,16 +378,28 @@ impl PoolCore {
         });
         // With one thread every entry point runs inline; don't spawn.
         if threads > 1 {
+            // Start-up handshake: each worker drops its clone of `ready` once
+            // its thread is running, so the thread's own start-up work (its
+            // name, its runtime bookkeeping) is finished before `start`
+            // returns and never lands inside a caller's later measurement.
+            let (ready, all_ready) = mpsc::channel::<()>();
             for idx in 0..threads {
                 let shared = Arc::clone(&shared);
+                let ready = ready.clone();
                 let spawned = thread::Builder::new()
                     .name(format!("bikecap-rt-{idx}"))
-                    .spawn(move || worker_loop(shared, idx));
+                    .spawn(move || {
+                        drop(ready);
+                        worker_loop(shared, idx);
+                    });
                 // Spawn failure (resource exhaustion) degrades to fewer
                 // workers; the submitter always participates, so jobs still
-                // complete.
+                // complete. The failed closure drops its `ready` with it.
                 drop(spawned);
             }
+            drop(ready);
+            // Disconnects once every worker has dropped its sender.
+            let _ = all_ready.recv();
         }
         PoolCore { shared, threads }
     }

@@ -1,6 +1,10 @@
-//! Dynamic micro-batching: requests land on a bounded queue; a worker pool
-//! drains up to `max_batch` of them (waiting at most `max_wait`), stacks
-//! their windows into one tensor, and runs a single batched forward pass.
+//! Dynamic micro-batching: requests land on a bounded queue; a free worker
+//! takes the first waiting job plus everything already queued behind it, up
+//! to `max_batch`, stacks their windows into one tensor, and runs a single
+//! batched forward pass at once. The dispatch is work-conserving: no worker
+//! idles while a job waits, and batches grow from the backlog that builds
+//! while the workers compute. A nonzero `max_wait` makes a worker linger
+//! that long for the batch to fill instead.
 //!
 //! Backpressure is explicit: a full queue fails `submit` immediately (the
 //! HTTP layer turns that into `503 Service Unavailable`) instead of letting
@@ -9,7 +13,7 @@
 //! it, and only then exit.
 
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -26,7 +30,10 @@ pub struct BatchConfig {
     pub queue_cap: usize,
     /// Largest number of requests fused into one forward pass.
     pub max_batch: usize,
-    /// How long a worker waits for the batch to fill before running it.
+    /// How long a worker lingers for more jobs before running a batch that
+    /// is not yet full. Zero (the default) runs the first job plus whatever
+    /// is already queued at once; a nonzero linger trades that much latency
+    /// for larger batches when arrivals are sparse.
     pub max_wait: Duration,
     /// Worker threads (each runs one batch at a time; batches from distinct
     /// workers execute concurrently).
@@ -53,7 +60,7 @@ impl Default for BatchConfig {
         BatchConfig {
             queue_cap: 256,
             max_batch: 16,
-            max_wait: Duration::from_millis(5),
+            max_wait: Duration::ZERO,
             workers: 2,
             worker_delay: Duration::ZERO,
             total_threads: None,
@@ -214,11 +221,9 @@ fn worker_loop(rx: &Mutex<Receiver<PredictJob>>, config: &BatchConfig, metrics: 
         // assemble the next batch while this one computes.
         let (batch, assembly) = {
             let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-            let first = match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(job) => job,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
+            // Blocks until a job arrives; an error means the sender is gone
+            // and the queue is drained, i.e. shutdown.
+            let Ok(first) = rx.recv() else { return };
             let assembly_start = Instant::now();
             let _assembly_span = bikecap_obs::span("serve.batch.assemble");
             let mut batch = vec![first];
@@ -469,6 +474,46 @@ mod tests {
             assert_eq!(out.as_slice(), solo.as_slice(), "job {i}");
         }
         assert!(metrics.batches_total.load(Ordering::Relaxed) >= 1);
+        batcher.shutdown();
+    }
+
+    #[test]
+    fn zero_linger_batches_form_from_the_backlog() {
+        // Without a linger a lone job runs by itself at once, but jobs that
+        // queue up while the worker computes still share one forward pass.
+        let (_reg, entry) = tiny_entry();
+        let metrics = Arc::new(Metrics::new());
+        let batcher = Batcher::start(
+            BatchConfig {
+                max_wait: Duration::ZERO,
+                workers: 1,
+                worker_delay: Duration::from_millis(300),
+                ..BatchConfig::default()
+            },
+            Arc::clone(&metrics),
+        );
+        let (j, first) = job(&entry, 0.5);
+        batcher.submit(j).unwrap();
+        // Drained: the worker has taken the job and is now held by the delay.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.queue_depth.load(Ordering::Relaxed) != 0 {
+            assert!(Instant::now() < deadline, "the first job was never drained");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let receivers: Vec<_> = (0..8)
+            .map(|i| {
+                let (j, rx) = job(&entry, 0.1 + i as f32 * 0.1);
+                batcher.submit(j).unwrap();
+                rx
+            })
+            .collect();
+        let res = first.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(res.batch_size, 1, "a lone job must not wait for company");
+        for rx in receivers {
+            let res = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert!(res.output.is_ok());
+            assert_eq!(res.batch_size, 8, "the backlog must form one batch");
+        }
         batcher.shutdown();
     }
 

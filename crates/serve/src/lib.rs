@@ -9,9 +9,10 @@
 //!    `GET /metrics` cover operations, `POST /admin/reload` hot-swaps
 //!    checkpoints.
 //! 2. **Dynamic micro-batching** ([`batcher`]) — requests land on a bounded
-//!    queue; workers drain up to `max_batch` of them (waiting at most
-//!    `max_wait`), stack the windows, and run a *single* batched forward pass
-//!    via `BikeCap::predict_batch`. Batched outputs are bit-for-bit identical
+//!    queue; a free worker takes the first waiting request plus everything
+//!    queued behind it (up to `max_batch`, with no linger by default),
+//!    stacks the windows, and runs a *single* batched forward pass via
+//!    `BikeCap::predict_batch`. Batched outputs are bit-for-bit identical
 //!    to single-request predictions. A full queue rejects immediately (503)
 //!    instead of letting latency grow without bound.
 //! 3. **Model registry** ([`registry`]) — named models loaded from versioned

@@ -20,7 +20,7 @@
 //! batcher drains every accepted job before workers exit.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -110,9 +110,6 @@ impl Server {
         let batcher = Batcher::start(config.batch.clone(), Arc::clone(&metrics));
         let listener = bind_with_retry(&config)?;
         let addr = listener.local_addr()?;
-        // Non-blocking accept lets the acceptor poll the stop flag instead of
-        // parking in `accept` forever.
-        listener.set_nonblocking(true)?;
         let inner = Arc::new(Inner {
             registry,
             batcher,
@@ -168,7 +165,11 @@ impl Server {
     fn stop_and_join(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+            // An acceptor the wake never reached is left detached rather
+            // than joined: it exits on the next connection it accepts.
+            if wake_acceptor(self.addr, &handle) {
+                let _ = handle.join();
+            }
         }
         let conns: Vec<_> = self
             .inner
@@ -211,9 +212,36 @@ fn bind_with_retry(config: &ServeConfig) -> io::Result<TcpListener> {
     }
 }
 
+/// Unparks an acceptor blocked in `accept` after `stop` is set, by
+/// connecting to the listener (a wildcard bind is reached through the
+/// loopback of the same family). Retries until the acceptor thread has
+/// finished, bounded at about a second; returns whether it finished.
+fn wake_acceptor(addr: SocketAddr, acceptor: &thread::JoinHandle<()>) -> bool {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let give_up = Instant::now() + Duration::from_secs(1);
+    while !acceptor.is_finished() && Instant::now() < give_up {
+        // The acceptor drops this connection unanswered once it sees `stop`.
+        let _ = TcpStream::connect_timeout(&target, Duration::from_millis(100));
+        thread::sleep(Duration::from_millis(2));
+    }
+    acceptor.is_finished()
+}
+
 fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Shutdown wakes this blocking accept with a connection of its own;
+        // it (and anything else accepted after `stop`) is dropped unanswered.
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let conn_inner = Arc::clone(inner);
                 let handle = thread::Builder::new()
@@ -230,9 +258,8 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
                     conns.retain(|h| !h.is_finished());
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // A real accept error (EMFILE and the like) would fail again at
+            // once; back off so the loop cannot spin.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -763,6 +790,38 @@ mod tests {
         assert!(doc.get("batch_size_histogram").is_some());
         assert_eq!(doc.get("in_flight").and_then(Json::as_usize), Some(0));
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_blocked_acceptor() {
+        // The acceptor blocks in `accept`; shutdown must wake it promptly,
+        // including through the loopback for a wildcard bind.
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let registry = Arc::new(ModelRegistry::new());
+            registry.insert(DEFAULT_MODEL, BikeCap::seeded(tiny_config(), 5));
+            let config = ServeConfig {
+                addr: addr.to_string(),
+                ..ServeConfig::default()
+            };
+            let server = Server::start(config, registry).unwrap();
+            let port = server.local_addr().port();
+            let (status, body) = http::client_request(
+                SocketAddr::from((Ipv4Addr::LOCALHOST, port)),
+                "POST",
+                "/predict",
+                Some(&predict_body()),
+                Duration::from_secs(10),
+            )
+            .unwrap();
+            assert_eq!(status, 200, "{addr}: {body}");
+            let started = Instant::now();
+            server.shutdown();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(500),
+                "{addr}: shutdown took {took:?}"
+            );
+        }
     }
 
     #[test]

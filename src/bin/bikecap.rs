@@ -139,7 +139,9 @@ fn parse_flags(rest: &[String]) -> Result<Args, String> {
         addr: get("addr", "127.0.0.1:7878"),
         workers: get("workers", "2").parse().map_err(|_| "invalid --workers".to_string())?,
         max_batch: get("max-batch", "16").parse().map_err(|_| "invalid --max-batch".to_string())?,
-        max_wait_ms: get("max-wait-ms", "5").parse().map_err(|_| "invalid --max-wait-ms".to_string())?,
+        max_wait_ms: get("max-wait-ms", &BatchConfig::default().max_wait.as_millis().to_string())
+            .parse()
+            .map_err(|_| "invalid --max-wait-ms".to_string())?,
         queue_cap: get("queue-cap", "256").parse().map_err(|_| "invalid --queue-cap".to_string())?,
         bind_retries: get("bind-retries", "3")
             .parse()
@@ -518,7 +520,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     let server = Server::start(serve_config, registry).map_err(|e| e.to_string())?;
     println!(
-        "serving {} on http://{} ({} workers, batches of up to {} within {}ms)",
+        "serving {} on http://{} ({} workers, batches of up to {}, linger {} ms)",
         path.display(),
         server.local_addr(),
         args.workers,
